@@ -1,13 +1,14 @@
-// Scenario harness runner: replays catalog (or all) scenarios and emits
-// BENCH_scenarios.json with per-scenario stats, event-log fingerprints and
-// any invariant violations.
+// Scenario harness runner: replays catalog (or all) scenarios — single
+// index and sharded alike — and emits BENCH_scenarios.json with per-run
+// stats (for sharded runs also hedges, shed retries, quarantines and
+// partial results), event-log fingerprints and any invariant violations.
 //
 //   ./build/bench_scenarios --scenario=market_open_burst --seed=42
-//   ./build/bench_scenarios --scenario=all --mode=concurrent
+//   ./build/bench_scenarios --scenario=shard_brownout --mode=concurrent
 //   ./build/bench_scenarios --list
 //
 // Flags:
-//   --scenario=<name|all>   which catalog entry to run (default all)
+//   --scenario=<name[,name...]|all>   catalog entries to run (default all)
 //   --seed=N                scenario seed (default 42)
 //   --mode=<deterministic|concurrent|both>   default both
 //   --soak                  long variants (also enabled by MBI_SOAK=1)
@@ -16,6 +17,7 @@
 // Exit status is non-zero when any invariant was violated, so CI can gate
 // on this binary directly.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -135,6 +137,14 @@ void WriteOutcomeJson(mbi::obs::JsonWriter* w, const ScenarioOutcome& o,
   w->Double(o.stats.p99_overshoot);
   w->Key("overshoot_samples");
   w->Uint(o.stats.overshoot_samples);
+  w->Key("hedges");
+  w->Uint(o.stats.hedges);
+  w->Key("shard_retries");
+  w->Uint(o.stats.shard_retries);
+  w->Key("quarantines");
+  w->Uint(o.stats.quarantines);
+  w->Key("partial_results");
+  w->Uint(o.stats.partial_results);
   w->EndObject();
 
   w->Key("violations");
@@ -169,7 +179,12 @@ int main(int argc, char** argv) {
   if (flags.scenario == "all") {
     names = CatalogNames();
   } else {
-    names.push_back(flags.scenario);
+    for (size_t at = 0; at <= flags.scenario.size();) {
+      const size_t comma = std::min(flags.scenario.find(',', at),
+                                    flags.scenario.size());
+      names.push_back(flags.scenario.substr(at, comma - at));
+      at = comma + 1;
+    }
   }
   std::vector<RunMode> modes;
   if (flags.mode != "concurrent") modes.push_back(RunMode::kDeterministic);
@@ -216,12 +231,18 @@ int main(int argc, char** argv) {
       const ScenarioOutcome& o = run.value();
       std::printf(
           "%-22s %-13s %5.2fs  adds=%zu queries=%zu degraded=%zu shed=%zu "
-          "ckpts=%zu faults=%zu crashes=%zu recall=%.3f/%zu  fp=%08x  %s\n",
+          "ckpts=%zu faults=%zu crashes=%zu recall=%.3f/%zu",
           o.name.c_str(), RunModeName(mode), seconds, o.stats.add_ops,
           o.stats.queries, o.stats.degraded, o.stats.shed,
           o.stats.checkpoints_committed, o.stats.checkpoint_faults,
-          o.stats.crashes, o.stats.recall_mean, o.stats.recall_samples,
-          o.log.Fingerprint(), o.ok() ? "OK" : "VIOLATIONS");
+          o.stats.crashes, o.stats.recall_mean, o.stats.recall_samples);
+      if (spec.value().is_sharded()) {
+        std::printf(" hedges=%zu retries=%zu partial=%zu quarantines=%zu",
+                    o.stats.hedges, o.stats.shard_retries,
+                    o.stats.partial_results, o.stats.quarantines);
+      }
+      std::printf("  fp=%08x  %s\n", o.log.Fingerprint(),
+                  o.ok() ? "OK" : "VIOLATIONS");
       if (!o.ok()) {
         all_ok = false;
         std::printf("%s", o.ViolationSummary().c_str());

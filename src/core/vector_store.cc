@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "util/check.h"
@@ -73,6 +74,12 @@ Status VectorStore::Append(const float* vector, Timestamp t) {
 }
 
 Status VectorStore::AppendLocked(const float* vector, Timestamp t) {
+  // No half-open window contains the largest timestamp, and RangeWindow's
+  // `last + 1` would overflow on it.
+  if (t == std::numeric_limits<Timestamp>::max()) {
+    return Status::InvalidArgument(
+        "timestamp INT64_MAX is reserved as the open end of time windows");
+  }
   if (write_size_ > 0 && t < last_timestamp_) {
     return Status::FailedPrecondition(
         "timestamps must be appended in non-decreasing order");

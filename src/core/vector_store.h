@@ -72,7 +72,8 @@ class VectorStore {
 
   /// Appends one timestamped vector. Fails with FailedPrecondition if `t`
   /// precedes the last appended timestamp and with InvalidArgument if any
-  /// component is NaN/Inf. Writer-only.
+  /// component is NaN/Inf or `t` is INT64_MAX (no half-open window can
+  /// contain it). Writer-only.
   Status Append(const float* vector, Timestamp t) MBI_EXCLUDES(writer_mu_);
 
   /// Appends `count` vectors stored row-major with per-row timestamps.

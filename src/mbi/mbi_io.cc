@@ -1,6 +1,6 @@
 // MbiIndex persistence: sectioned checksummed single-file snapshots
-// (Save/Load, format MBIX0002 with legacy MBIX0001 reads) and incremental
-// crash-safe checkpoints (Checkpoint/Recover).
+// (Save/Load, format MBIX0002) and incremental crash-safe checkpoints
+// (Checkpoint/Recover).
 //
 // Single file (MBIX0002):
 //
@@ -41,7 +41,6 @@ namespace mbi {
 
 namespace {
 
-constexpr char kMagicV1[] = "MBIX0001";
 constexpr char kMagicV2[] = "MBIX0002";
 constexpr char kManifestMagic[] = "MBIMAN01";
 constexpr char kVecSegMagic[] = "MBISEG01";
@@ -102,8 +101,8 @@ struct PersistMetrics {
   }
 };
 
-// Dim/metric/params header shared by the v2 params section, the legacy v1
-// header and the checkpoint manifest.
+// Dim/metric/params header shared by the snapshot's params section and the
+// checkpoint manifest.
 struct IndexHeader {
   uint64_t dim = 0;
   uint32_t metric_raw = 0;
@@ -351,8 +350,6 @@ class MbiIo {
                                                    persist::FileSystem* fs);
 
  private:
-  static Result<std::unique_ptr<MbiIndex>> LoadV1(BinaryReader* r,
-                                                  const std::string& path);
   static Result<std::unique_ptr<MbiIndex>> LoadV2(BinaryReader* r,
                                                   const std::string& path);
 };
@@ -422,7 +419,7 @@ Status MbiIndex::Save(const std::string& path,
 }
 
 // ---------------------------------------------------------------------------
-// Load (MBIX0002 + legacy MBIX0001)
+// Load (MBIX0002)
 
 Result<std::unique_ptr<MbiIndex>> MbiIo::LoadV2(BinaryReader* r,
                                                 const std::string& path) {
@@ -506,31 +503,6 @@ Result<std::unique_ptr<MbiIndex>> MbiIo::LoadV2(BinaryReader* r,
   return Result<std::unique_ptr<MbiIndex>>(std::move(index));
 }
 
-Result<std::unique_ptr<MbiIndex>> MbiIo::LoadV1(BinaryReader* r,
-                                                const std::string& path) {
-  IndexHeader h;
-  MBI_RETURN_IF_ERROR(ReadHeaderFrom(r, &h));
-  auto index = std::make_unique<MbiIndex>(
-      h.dim, static_cast<Metric>(h.metric_raw), h.params);
-
-  uint64_t n = 0;
-  MBI_RETURN_IF_ERROR(r->Read<uint64_t>(&n));
-  MBI_RETURN_IF_ERROR(ReadVectorsInto(r, n, h.dim, &index->store_));
-
-  // v1 always wrote every full block of the store it saved.
-  const int64_t covered_end =
-      (static_cast<int64_t>(n) / h.params.leaf_size) * h.params.leaf_size;
-  std::vector<std::shared_ptr<const BlockKnnIndex>> blocks;
-  MBI_RETURN_IF_ERROR(
-      ReadBlockList(r, covered_end, h.params.leaf_size, &blocks));
-  if (r->Remaining() != 0) {
-    return Status::IoError("corrupt MBI index: trailing bytes in " + path);
-  }
-  MBI_RETURN_IF_ERROR(r->Close());
-  index->InstallBlocks(std::move(blocks), /*build_pending=*/false);
-  return Result<std::unique_ptr<MbiIndex>>(std::move(index));
-}
-
 Result<std::unique_ptr<MbiIndex>> MbiIo::Load(const std::string& path,
                                               persist::FileSystem* fs) {
   BinaryReader r;
@@ -538,7 +510,6 @@ Result<std::unique_ptr<MbiIndex>> MbiIo::Load(const std::string& path,
   char magic[8];
   MBI_RETURN_IF_ERROR(r.ReadBytes(magic, sizeof(magic)));
   if (std::memcmp(magic, kMagicV2, 8) == 0) return LoadV2(&r, path);
-  if (std::memcmp(magic, kMagicV1, 8) == 0) return LoadV1(&r, path);
   return Status::DataLoss("not an MBI index file: " + path);
 }
 

@@ -165,11 +165,107 @@ ScenarioSpec RecoverThenRequery(uint64_t seed, bool soak) {
   return spec;
 }
 
+// Sharded base: four time shards of flat blocks (exact scans), so the
+// shard-oracle-match invariant compares exact against exact. Soak variants
+// ingest 4x the rows.
+ScenarioSpec BaseShardSpec(const std::string& name, uint64_t seed) {
+  ScenarioSpec spec;
+  spec.name = name;
+  spec.seed = seed;
+  spec.dim = 8;
+  spec.index.leaf_size = 32;
+  spec.index.block_kind = BlockIndexKind::kFlat;
+  spec.sharded.enable_hedging = true;
+  // Concurrent runs sleep injected delays for real: keep them short but
+  // past the hedge threshold.
+  spec.sharded.hedge_delay_seconds = 0.002;
+  spec.sharded.backoff.max_retries = 2;
+  spec.sharded.backoff.initial_seconds = 0.0005;
+  spec.sharded.backoff.max_seconds = 0.004;
+  spec.sharded.min_result_coverage = 0.0;  // always prefer partial results
+  spec.fault_shard = 1;
+  spec.bounds.recall_floor = 0.70;
+  spec.bounds.oracle_sample_every = 3;
+  return spec;
+}
+
+PhaseSpec ShardPhase(const std::string& name, size_t adds, bool soak) {
+  PhaseSpec p;
+  p.name = name;
+  p.adds = soak ? adds * 4 : adds;
+  p.queries_per_add = 0.5;
+  p.mix.window_fractions = {0.25, 1.0};
+  p.mix.ks = {1, 10};
+  p.mix.budget_classes = {0.0};
+  p.query_threads = soak ? 6 : 3;
+  return p;
+}
+
+// A query-only phase; concurrent readers bound half their queries by a
+// deadline.
+PhaseSpec ShardEpilogue(const std::string& name, bool soak) {
+  PhaseSpec p = ShardPhase(name, 0, soak);
+  p.epilogue_queries = soak ? 120 : 40;
+  p.mix.budget_classes = {0.0, 0.25};
+  return p;
+}
+
+void SetBrownout(PhaseSpec* p, double shed_prob) {
+  p->brownout_delay_seconds = 0.004;  // >= the hedge delay: hedges fire
+  p->brownout_shed_prob = shed_prob;
+}
+
+ScenarioSpec ShardBrownout(uint64_t seed, bool soak) {
+  ScenarioSpec spec = BaseShardSpec("shard_brownout", seed);
+  spec.sharded.shard_span = soak ? 400 : 100;
+  spec.phases.push_back(ShardPhase("calm", 120, soak));
+  PhaseSpec brownout = ShardPhase("brownout", 60, soak);
+  SetBrownout(&brownout, 0.45);
+  spec.phases.push_back(brownout);
+  PhaseSpec blackout = ShardPhase("blackout", 40, soak);
+  SetBrownout(&blackout, 1.0);
+  spec.phases.push_back(blackout);
+  brownout.name = "brownout_tail";
+  spec.phases.push_back(brownout);
+  spec.phases.push_back(ShardPhase("clear", 120, soak));
+  // The fault shard is checkpointed and taken out of rotation under the
+  // brownout; queries degrade around it until it recovers.
+  PhaseSpec quarantine = ShardEpilogue("quarantine", soak);
+  SetBrownout(&quarantine, 0.45);
+  quarantine.checkpoints = 1;
+  quarantine.crash_and_recover = true;
+  spec.phases.push_back(quarantine);
+  spec.phases.push_back(ShardEpilogue("requery", soak));
+  return spec;
+}
+
+ScenarioSpec ShardCrashRequery(uint64_t seed, bool soak) {
+  ScenarioSpec spec = BaseShardSpec("shard_crash_requery", seed);
+  spec.sharded.shard_span = soak ? 400 : 100;
+  // Flaky-disk checkpoints while shard 0 fills.
+  PhaseSpec fill = ShardPhase("fill", 100, soak);
+  fill.checkpoints = 2;
+  fill.inject_checkpoint_faults = true;
+  spec.phases.push_back(fill);
+  // One clean checkpoint half way through the fault shard: its second half
+  // is the tail the crash loses.
+  PhaseSpec midfill = ShardPhase("midfill", 100, soak);
+  midfill.checkpoints = 1;
+  spec.phases.push_back(midfill);
+  spec.phases.push_back(ShardPhase("tail", 200, soak));
+  PhaseSpec lost = ShardEpilogue("machine_loss", soak);
+  lost.crash_and_recover = true;
+  spec.phases.push_back(lost);
+  spec.phases.push_back(ShardEpilogue("requery", soak));
+  return spec;
+}
+
 }  // namespace
 
 std::vector<std::string> CatalogNames() {
-  return {"steady_state_soak", "market_open_burst", "crash_during_cascade",
-          "overload_storm", "recover_then_requery"};
+  return {"steady_state_soak",    "market_open_burst", "crash_during_cascade",
+          "overload_storm",       "recover_then_requery", "shard_brownout",
+          "shard_crash_requery"};
 }
 
 Result<ScenarioSpec> GetScenario(const std::string& name, uint64_t seed,
@@ -179,6 +275,8 @@ Result<ScenarioSpec> GetScenario(const std::string& name, uint64_t seed,
   if (name == "crash_during_cascade") return CrashDuringCascade(seed, soak);
   if (name == "overload_storm") return OverloadStorm(seed, soak);
   if (name == "recover_then_requery") return RecoverThenRequery(seed, soak);
+  if (name == "shard_brownout") return ShardBrownout(seed, soak);
+  if (name == "shard_crash_requery") return ShardCrashRequery(seed, soak);
   return Status::NotFound("no scenario named '" + name +
                           "' in the catalog (see --list)");
 }

@@ -1,6 +1,7 @@
 // The canonical scenario catalog.
 //
-// Five named scenarios cover the interaction surface the units cannot:
+// Seven named scenarios cover the interaction surface the units cannot.
+// Five run against one MbiIndex:
 //
 //   steady_state_soak    uniform ingest + mixed queries + periodic
 //                        checkpoints; the long-haul baseline
@@ -14,9 +15,21 @@
 //   recover_then_requery crash-heavy ingest, then a query-only epilogue
 //                        proving the recovered index still answers well
 //
+// Two run against a four-shard ShardedMbi of flat (exact) blocks:
+//
+//   shard_brownout       one shard turns slow and sheddy mid-ingest (hedges
+//                        and backoff absorb it), then black for a slice
+//                        (partial results), then it is quarantined and
+//                        revived under queries, and the fleet requeried
+//   shard_crash_requery  fault-injected checkpoints while shard 0 fills, a
+//                        clean one half way through shard 1, then shard 1
+//                        loses its machine: queries degrade around the
+//                        hole, recovery restores the checkpointed prefix,
+//                        the lost tail is backfilled, the fleet requeried
+//
 // Every scenario has a short variant (tier-1 tests, seconds) and a soak
-// variant (~10x the adds, more reader threads; CI runs it under TSan behind
-// MBI_SOAK=1).
+// variant (~10x the adds for one index, 4x for a fleet, more reader
+// threads; CI runs it under TSan behind MBI_SOAK=1).
 
 #ifndef MBI_SCENARIO_CATALOG_H_
 #define MBI_SCENARIO_CATALOG_H_

@@ -12,13 +12,11 @@
 #include <thread>
 #include <utility>
 
-#include "data/synthetic.h"
 #include "eval/recall.h"
-#include "mbi/mbi_index.h"
 #include "obs/metrics.h"
 #include "persist/crc32c.h"
 #include "persist/fault_injection.h"
-#include "persist/file.h"
+#include "scenario/target.h"
 #include "util/budget.h"
 #include "util/clock.h"
 #include "util/rng.h"
@@ -26,28 +24,7 @@
 #include "util/timer.h"
 
 namespace mbi::scenario {
-namespace {
 
-namespace stdfs = std::filesystem;
-
-// Query vectors shared by every phase; individual queries draw an index into
-// this pool, so replay cost stays independent of query volume.
-constexpr size_t kQueryPoolSize = 64;
-
-// Virtual nanoseconds the deterministic driver advances per operation. Any
-// fixed schedule works — it only has to be the same on every replay.
-constexpr int64_t kVirtualNanosPerAdd = 1000;
-constexpr int64_t kVirtualNanosPerQuery = 200;
-
-// Deterministic analog of a d-second deadline: a work cap assuming ~1M
-// distance evaluations per second (see QueryMix::budget_classes).
-uint64_t WorkCapForBudgetClass(double d) {
-  const long long cap = std::llround(d * 1e6);
-  return static_cast<uint64_t>(std::max(16LL, cap));
-}
-
-// Content hash of a result list: neighbor ids and the raw bit patterns of
-// their distances. Two results hash equal iff they are bit-identical.
 uint64_t HashResult(const SearchResult& result) {
   uint32_t crc = 0;
   for (const Neighbor& nb : result) {
@@ -65,49 +42,86 @@ uint64_t PackQueryMeta(const SearchResult& result, size_t k) {
          (static_cast<uint64_t>(result.size()) << 24);
 }
 
-// The process-wide obs counters invariant I5 reconciles against.
-struct CounterProbe {
-  obs::Counter* queries;
-  obs::Counter* degraded;
-  obs::Counter* shed;
-  obs::Counter* invalid;
+void Tally::MergeFrom(const Tally& other) {
+  issued += other.issued;
+  shed += other.shed;
+  degraded += other.degraded;
+  complete += other.complete;
+  hedges += other.hedges;
+  retries += other.retries;
+  partial += other.partial;
+  recall.MergeFrom(other.recall);
+  overshoot.MergeFrom(other.overshoot);
+}
 
-  static CounterProbe Get() {
-    obs::MetricRegistry& reg = obs::MetricRegistry::Default();
-    return CounterProbe{
-        reg.GetCounter("mbi_queries_total"),
-        reg.GetCounter("mbi_query_degraded_total"),
-        reg.GetCounter("mbi_query_shed_total"),
-        reg.GetCounter("mbi_query_invalid_total"),
-    };
+void RunContext::AddViolation(InvariantId id, std::string detail) {
+  outcome.violations.push_back(Violation{id, std::move(detail)});
+  outcome.log.Append(EventKind::kInvariant, phase, static_cast<uint64_t>(id),
+                     0);
+}
+
+void RunContext::PassInvariant(InvariantId id) {
+  outcome.log.Append(EventKind::kInvariant, phase, static_cast<uint64_t>(id),
+                     1);
+}
+
+void RunContext::CheckRecovered(const VectorStore& store, size_t base,
+                                size_t acked) {
+  const size_t recovered = store.size();
+  bool lost = recovered < acked;
+  if (lost) {
+    AddViolation(InvariantId::kNoLostAckedWrites,
+                 "recovered " + std::to_string(recovered) + " < acked " +
+                     std::to_string(acked));
   }
-};
+  for (size_t i = 0; i < recovered; ++i) {
+    const auto id = static_cast<VectorId>(i);
+    if (store.GetTimestamp(id) != data.timestamps[base + i] ||
+        std::memcmp(store.GetVector(id), data.vector(base + i),
+                    spec.dim * sizeof(float)) != 0) {
+      AddViolation(InvariantId::kNoLostAckedWrites,
+                   "recovered row " + std::to_string(base + i) +
+                       " differs from the ingested one");
+      lost = true;
+      break;
+    }
+  }
+  if (!lost) PassInvariant(InvariantId::kNoLostAckedWrites);
+}
 
-struct CounterBaseline {
-  uint64_t queries = 0;
-  uint64_t degraded = 0;
-  uint64_t shed = 0;
-  uint64_t invalid = 0;
-};
+namespace {
 
-// Per-reader-thread aggregates, merged by the driver after the pool joins so
-// the readers themselves stay lock-free.
-struct ThreadAgg {
-  size_t issued = 0;    // attempts, including shed ones
-  size_t shed = 0;
-  size_t degraded = 0;
-  size_t complete = 0;
-  size_t view_calls = 0;  // extra SearchView calls (recall sampling)
-  MeanSink recall;
-  PercentileSink overshoot;
-  std::vector<Violation> violations;
+namespace stdfs = std::filesystem;
+
+// Query vectors shared by every phase; individual queries draw an index into
+// this pool, so replay cost stays independent of query volume.
+constexpr size_t kQueryPoolSize = 64;
+
+// Virtual nanoseconds the deterministic driver advances per operation. Any
+// fixed schedule works — it only has to be the same on every replay.
+constexpr int64_t kVirtualNanosPerAdd = 1000;
+constexpr int64_t kVirtualNanosPerQuery = 200;
+
+// A broken invariant repeats on every query; a reader keeps the first few.
+constexpr size_t kMaxReaderViolations = 8;
+
+// Deterministic analog of a d-second deadline: a work cap assuming ~1M
+// distance evaluations per second (see QueryMix::budget_classes).
+uint64_t WorkCapForBudgetClass(double d) {
+  const long long cap = std::llround(d * 1e6);
+  return static_cast<uint64_t>(std::max(16LL, cap));
+}
+
+// Where a phase's scheduled checkpoints and crash land, as target sizes.
+struct PhasePlan {
+  std::vector<size_t> ckpt_at;  // evenly spaced in the phase
+  size_t crash_at = 0;          // 0 = no crash
 };
 
 class Driver {
  public:
   Driver(const ScenarioSpec& spec, const RunOptions& opts)
-      : spec_(spec),
-        opts_(opts),
+      : run_(spec, opts),
         query_rng_(DeriveSeed(spec.seed, SeedStream::kQueryPick)),
         sched_rng_(DeriveSeed(spec.seed, SeedStream::kSchedule)),
         faultgen_(MakeFaultParams(spec.seed)),
@@ -126,131 +140,117 @@ class Driver {
     return p;
   }
 
+  const ScenarioSpec& spec() const { return run_.spec; }
+
   Status Setup();
   void Teardown();
 
+  PhasePlan PlanPhase(const PhaseSpec& p);
+  void RunPhases();
   void RunPhaseDeterministic(uint32_t pi, const PhaseSpec& p);
   void RunPhaseConcurrent(uint32_t pi, const PhaseSpec& p);
+  void RunQueryOnlyConcurrent(uint32_t pi, const PhaseSpec& p);
 
   Status DoAdd();
-  // One checkpoint; returns the size it acknowledged as durable, or 0 on
-  // fault. Only called from one thread at a time (driver or checkpointer).
-  void DoCheckpoint(uint32_t pi, bool inject, EventLog* log);
-  void DoCrashRecover(uint32_t pi);
+  void DoCheckpoint(bool inject, EventLog* log);
 
+  // Draws one query's parameters from `rng`; returns false when the target
+  // is still empty (nothing to ask).
+  bool DrawQuery(const PhaseSpec& p, size_t committed, Rng* rng,
+                 QueryDraw* out);
+  // Tallies one answer into `t` and checks it: I4, the target's own
+  // per-query invariants, and I2 sampling when `ordinal` is due.
+  void Grade(const PhaseSpec& p, const QueryDraw& q, const Answer& a,
+             uint64_t ordinal, Tally* t, std::vector<Violation>* found);
   void DeterministicQuery(uint32_t pi, const PhaseSpec& p);
-  void ReaderLoop(const PhaseSpec& p, uint64_t thread_seed,
-                  const std::atomic<bool>* stop, ThreadAgg* agg);
+  // Issues queries until `stop`, or `quota` of them when non-zero.
+  void ReaderLoop(const PhaseSpec& p, uint64_t thread_seed, size_t quota,
+                  const std::atomic<bool>* stop, std::atomic<size_t>* done,
+                  Tally* agg);
   void OverloadBurst(uint32_t pi, const PhaseSpec& p);
+  void MergeReaders(std::vector<Tally>* aggs);
 
-  // Draws one query's parameters from `rng`; returns false when the index is
-  // still empty (nothing to ask).
-  struct QueryDraw {
-    const float* vector = nullptr;
-    TimeWindow window;
-    size_t k = 10;
-    double budget_class = 0.0;
-    uint64_t ctx_seed = 0;
-  };
-  bool DrawQuery(const PhaseSpec& p, size_t committed, Rng* rng, QueryDraw* out);
+  void CheckEndOfRun(const std::vector<uint64_t>& counter_base);
 
-  void CheckEndOfRun(const CounterBaseline& base);
-  void AddViolation(InvariantId id, std::string detail) {
-    outcome_.violations.push_back(Violation{id, std::move(detail)});
-    outcome_.log.Append(EventKind::kInvariant, current_phase_,
-                        static_cast<uint64_t>(id), 0);
-  }
-  void PassInvariant(InvariantId id) {
-    outcome_.log.Append(EventKind::kInvariant, current_phase_,
-                        static_cast<uint64_t>(id), 1);
-  }
-
-  const ScenarioSpec& spec_;
-  const RunOptions opts_;
-  ScenarioOutcome outcome_;
-
-  SyntheticData data_;
+  RunContext run_;
+  std::unique_ptr<Target> target_;
   std::vector<float> query_pool_;
-  std::unique_ptr<MbiIndex> index_;
 
   Rng query_rng_;
   Rng sched_rng_;
   persist::FaultScheduleGenerator faultgen_;
   persist::FaultInjectingFileSystem faultfs_;
-
-  std::string ckpt_dir_;
   bool own_work_dir_ = false;
 
   VirtualClock vclock_;
 
-  // Highest size a committed (and not zombie-crashed) checkpoint captured.
-  // Written by the checkpointer thread in concurrent mode, read by the
-  // driver at crash points (after the pool joins) and at end of run.
-  std::atomic<size_t> last_acked_{0};
-
   // Driver-side tallies (deterministic mode and post-join merges only).
-  size_t issued_ = 0;
-  size_t shed_ = 0;
-  size_t degraded_ = 0;
-  size_t complete_ = 0;
-  size_t view_calls_ = 0;
+  Tally tally_;
   uint64_t query_ordinal_ = 0;
-  size_t high_water_peak_ = 0;
-  MeanSink recall_;
-  PercentileSink overshoot_;
-  uint32_t current_phase_ = 0;
 };
 
 Status Driver::Setup() {
-  if (opts_.work_dir.empty()) {
-    const std::string leaf = "mbi_scenario_" + spec_.name + "_" +
-                             std::to_string(spec_.seed) + "_" +
+  if (run_.opts.work_dir.empty()) {
+    const std::string leaf = "mbi_scenario_" + spec().name + "_" +
+                             std::to_string(spec().seed) + "_" +
                              std::to_string(static_cast<long>(::getpid()));
     std::error_code ec;
     const stdfs::path dir = stdfs::temp_directory_path(ec) / leaf;
     if (ec) return Status::IoError("no temp directory: " + ec.message());
     stdfs::remove_all(dir, ec);
-    ckpt_dir_ = dir.string();
+    run_.work_dir = dir.string();
     own_work_dir_ = true;
   } else {
-    ckpt_dir_ = opts_.work_dir;
+    run_.work_dir = run_.opts.work_dir;
   }
   std::error_code ec;
-  stdfs::create_directories(ckpt_dir_, ec);
-  if (ec) return Status::IoError("cannot create " + ckpt_dir_ + ": " +
-                                 ec.message());
+  stdfs::create_directories(run_.work_dir, ec);
+  if (ec) {
+    return Status::IoError("cannot create " + run_.work_dir + ": " +
+                           ec.message());
+  }
 
   SyntheticParams gen;
-  gen.dim = spec_.dim;
-  gen.seed = DeriveSeed(spec_.seed, SeedStream::kData);
-  const size_t total = spec_.TotalAdds();
-  data_ = GenerateSynthetic(gen, total);
+  gen.dim = spec().dim;
+  gen.seed = DeriveSeed(spec().seed, SeedStream::kData);
+  run_.data = GenerateSynthetic(gen, spec().TotalAdds());
   query_pool_ = GenerateQueries(gen, kQueryPoolSize);
 
-  index_ = std::make_unique<MbiIndex>(spec_.dim, spec_.metric, spec_.index);
+  target_ = spec().is_sharded() ? MakeShardedTarget(&run_)
+                                : MakeMbiTarget(&run_);
   return Status::Ok();
 }
 
 void Driver::Teardown() {
-  if (own_work_dir_ && !ckpt_dir_.empty()) {
+  if (own_work_dir_ && !run_.work_dir.empty()) {
     std::error_code ec;
-    stdfs::remove_all(ckpt_dir_, ec);  // best-effort cleanup
+    stdfs::remove_all(run_.work_dir, ec);  // best-effort cleanup
   }
 }
 
 Status Driver::DoAdd() {
-  const size_t row = index_->size();
-  Status st = index_->Add(data_.vector(row), data_.timestamps[row]);
-  if (!st.ok()) return st;
-  ++outcome_.stats.add_ops;
+  const size_t row = target_->size();
+  MBI_RETURN_IF_ERROR(
+      target_->Add(run_.data.vector(row), run_.data.timestamps[row]));
+  ++run_.outcome.stats.add_ops;
   return Status::Ok();
+}
+
+void Driver::DoCheckpoint(bool inject, EventLog* log) {
+  persist::FileSystem* fs = nullptr;
+  if (inject) {
+    faultfs_.SetPlan(faultgen_.Next());
+    fs = &faultfs_;
+  }
+  target_->Checkpoint(fs, log);
+  if (inject) faultfs_.SetPlan(persist::FaultPlan{});
 }
 
 bool Driver::DrawQuery(const PhaseSpec& p, size_t committed, Rng* rng,
                        QueryDraw* out) {
   if (committed == 0) return false;
   out->vector = query_pool_.data() +
-                rng->NextBounded(kQueryPoolSize) * spec_.dim;
+                rng->NextBounded(kQueryPoolSize) * spec().dim;
   const double frac =
       p.mix.window_fractions[rng->NextBounded(p.mix.window_fractions.size())];
   out->k = p.mix.ks[rng->NextBounded(p.mix.ks.size())];
@@ -269,9 +269,53 @@ bool Driver::DrawQuery(const PhaseSpec& p, size_t committed, Rng* rng,
   return true;
 }
 
+void Driver::Grade(const PhaseSpec& p, const QueryDraw& q, const Answer& a,
+                   uint64_t ordinal, Tally* t, std::vector<Violation>* found) {
+  const std::string where =
+      "phase " + p.name + " query " + std::to_string(ordinal) + ": ";
+  if (!a.status.ok()) {
+    if (a.status.code() == StatusCode::kResourceExhausted) {
+      ++t->shed;
+    } else {
+      found->push_back(Violation{InvariantId::kResultValidity,
+                                 where + "failed instead of degrading: " +
+                                     a.status.ToString()});
+    }
+    return;
+  }
+  if (a.result.degraded()) {
+    ++t->degraded;
+  } else {
+    ++t->complete;
+  }
+  t->hedges += a.hedges;
+  t->retries += a.retries;
+  if (a.result.shards_ok < a.result.shards_total) ++t->partial;
+
+  // I4: every result, complete or degraded, must be internally valid.
+  const std::string bad = CheckResultValidity(*a.rows, a.view, q.window,
+                                              q.vector, q.k, a.result);
+  if (!bad.empty()) {
+    found->push_back(Violation{InvariantId::kResultValidity, where + bad});
+  }
+  for (const Violation& v : a.problems) {
+    found->push_back(Violation{v.id, where + v.detail});
+  }
+
+  // I2 sampling: every Nth unbounded query is graded against the oracle.
+  // Windows end at or before the rows committed when the query was drawn,
+  // so rows landing meanwhile cannot change the exact answer.
+  const size_t every = spec().bounds.oracle_sample_every;
+  if (q.budget_class <= 0.0 && every != 0 && ordinal % every == 0) {
+    const SearchResult exact =
+        ExactOracleTopK(*a.rows, a.view, q.vector, q.k, q.window);
+    t->recall.Add(RecallAtK(a.result, exact, q.k));
+  }
+}
+
 void Driver::DeterministicQuery(uint32_t pi, const PhaseSpec& p) {
   QueryDraw q;
-  if (!DrawQuery(p, index_->size(), &query_rng_, &q)) return;
+  if (!DrawQuery(p, target_->size(), &query_rng_, &q)) return;
 
   SearchParams sp;
   sp.k = q.k;
@@ -289,162 +333,79 @@ void Driver::DeterministicQuery(uint32_t pi, const PhaseSpec& p) {
   }
 
   QueryContext ctx(q.ctx_seed);
-  MbiQueryStats qstats;
-  const size_t view_size = index_->size();
-  const SearchResult result =
-      index_->Search(q.vector, q.window, sp, &ctx, &qstats);
-  ++issued_;
-  if (result.degraded()) {
-    ++degraded_;
-  } else {
-    ++complete_;
+  const Answer a = target_->Search(q, sp, &ctx);
+  ++tally_.issued;
+  std::vector<Violation> found;
+  Grade(p, q, a, query_ordinal_ + 1, &tally_, &found);
+  for (Violation& v : found) run_.AddViolation(v.id, std::move(v.detail));
+  if (a.status.ok()) {
+    run_.outcome.log.Append(EventKind::kQuery, pi, query_ordinal_,
+                            HashResult(a.result), a.meta);
+    if (a.hedges > 0) {
+      run_.outcome.log.Append(EventKind::kHedge, pi, query_ordinal_,
+                              a.hedges);
+    }
   }
-
-  // I4: every result, complete or degraded, must be internally valid.
-  const std::string bad = CheckResultValidity(index_->store(), view_size,
-                                              q.window, q.vector, q.k, result);
-  if (!bad.empty()) {
-    AddViolation(InvariantId::kResultValidity,
-                 "phase " + p.name + " query " +
-                     std::to_string(query_ordinal_) + ": " + bad);
-  }
-  if (qstats.blocks_searched != qstats.graph_blocks + qstats.exact_blocks) {
-    AddViolation(InvariantId::kMetricsConsistency,
-                 "blocks_searched != graph + exact in phase " + p.name);
-  }
-
-  outcome_.log.Append(EventKind::kQuery, pi, query_ordinal_,
-                      HashResult(result), PackQueryMeta(result, q.k));
   ++query_ordinal_;
-
-  // I2 sampling: every Nth unbounded query is replayed against the oracle.
-  if (q.budget_class <= 0.0 && spec_.bounds.oracle_sample_every != 0 &&
-      query_ordinal_ % spec_.bounds.oracle_sample_every == 0) {
-    const SearchResult exact = ExactOracleTopK(index_->store(), view_size,
-                                               q.vector, q.k, q.window);
-    recall_.Add(RecallAtK(result, exact, q.k));
-  }
   vclock_.AdvanceNanos(kVirtualNanosPerQuery);
 }
 
-void Driver::DoCheckpoint(uint32_t pi, bool inject, EventLog* log) {
-  const size_t size_at = index_->size();
-  log->Append(EventKind::kCheckpointBegin, pi, size_at);
-  persist::FileSystem* fs = nullptr;
-  if (inject) {
-    faultfs_.SetPlan(faultgen_.Next());
-    fs = &faultfs_;
+PhasePlan Driver::PlanPhase(const PhaseSpec& p) {
+  const size_t start_size = target_->size();
+  const size_t end_size = start_size + p.adds;
+  PhasePlan plan;
+  for (size_t j = 1; j <= p.checkpoints; ++j) {
+    size_t off = p.adds * j / (p.checkpoints + 1);
+    plan.ckpt_at.push_back(start_size + std::max<size_t>(1, off));
   }
-  Status st = index_->Checkpoint(ckpt_dir_, fs);
-  const bool zombied = inject && faultfs_.crashed();
-  if (inject) faultfs_.SetPlan(persist::FaultPlan{});
-  if (st.ok() && !zombied) {
-    // size_at is a lower bound on what the checkpoint captured (it pins its
-    // own view at or after our read), so it is safe to acknowledge.
-    size_t prev = last_acked_.load(std::memory_order_relaxed);
-    while (prev < size_at && !last_acked_.compare_exchange_weak(
-                                 prev, size_at, std::memory_order_relaxed)) {
-    }
-    ++outcome_.stats.checkpoints_committed;
-    log->Append(EventKind::kCheckpointCommit, pi, size_at);
-  } else {
-    ++outcome_.stats.checkpoint_faults;
-    log->Append(EventKind::kCheckpointFault, pi, size_at,
-                static_cast<uint64_t>(st.code()));
+  // Crash strictly after the first scheduled checkpoint so there is
+  // something durable to recover.
+  if (p.crash_and_recover && p.adds > 0) {
+    size_t lo = plan.ckpt_at.empty() ? start_size + 1
+                                     : plan.ckpt_at.front() + 1;
+    lo = std::min(lo, end_size);  // a checkpoint can land on the last add
+    plan.crash_at = lo + sched_rng_.NextBounded(end_size - lo + 1);
   }
-}
-
-void Driver::DoCrashRecover(uint32_t pi) {
-  const size_t live = index_->size();
-  const size_t acked = last_acked_.load(std::memory_order_relaxed);
-  high_water_peak_ = std::max(high_water_peak_, index_->inflight_high_water());
-  outcome_.log.Append(EventKind::kCrash, pi, live, acked);
-  ++outcome_.stats.crashes;
-  index_.reset();  // the "process dies"
-
-  // Reboot: recover from whatever is durably on disk, through the real FS.
-  Result<std::unique_ptr<MbiIndex>> rec = MbiIndex::Recover(ckpt_dir_);
-  if (!rec.ok()) {
-    if (acked > 0) {
-      AddViolation(InvariantId::kNoLostAckedWrites,
-                   "recovery failed with " + std::to_string(acked) +
-                       " acked vectors: " + rec.status().ToString());
-    }
-    // Nothing acked was durable; restart empty and re-ingest.
-    index_ = std::make_unique<MbiIndex>(spec_.dim, spec_.metric, spec_.index);
-    last_acked_.store(0, std::memory_order_relaxed);
-    outcome_.log.Append(EventKind::kRecover, pi, 0);
-    ++outcome_.stats.recoveries;
-    return;
-  }
-  index_ = std::move(rec).value();
-  const size_t recovered = index_->size();
-  bool lost = recovered < acked;
-  if (lost) {
-    AddViolation(InvariantId::kNoLostAckedWrites,
-                 "recovered " + std::to_string(recovered) + " < acked " +
-                     std::to_string(acked));
-  }
-  // Bit-exactness: everything recovered must match what was ingested.
-  for (size_t i = 0; i < recovered; ++i) {
-    if (index_->store().GetTimestamp(static_cast<VectorId>(i)) !=
-            data_.timestamps[i] ||
-        std::memcmp(index_->store().GetVector(static_cast<VectorId>(i)),
-                    data_.vector(i), spec_.dim * sizeof(float)) != 0) {
-      AddViolation(InvariantId::kNoLostAckedWrites,
-                   "recovered vector " + std::to_string(i) +
-                       " differs from the ingested one");
-      lost = true;
-      break;
-    }
-  }
-  if (!lost) PassInvariant(InvariantId::kNoLostAckedWrites);
-  outcome_.log.Append(EventKind::kRecover, pi, recovered);
-  ++outcome_.stats.recoveries;
+  return plan;
 }
 
 void Driver::RunPhaseDeterministic(uint32_t pi, const PhaseSpec& p) {
-  const size_t start_size = index_->size();
-  const size_t end_size = start_size + p.adds;
-
-  // Size thresholds for scheduled checkpoints, evenly spaced in the phase.
-  std::vector<size_t> ckpt_at;
-  for (size_t j = 1; j <= p.checkpoints; ++j) {
-    size_t off = p.adds * j / (p.checkpoints + 1);
-    ckpt_at.push_back(start_size + std::max<size_t>(1, off));
+  if (p.adds == 0) {
+    for (size_t j = 0; j < p.checkpoints; ++j) {
+      DoCheckpoint(p.inject_checkpoint_faults, &run_.outcome.log);
+    }
+    if (p.crash_and_recover) target_->Crash();
+    for (size_t i = 0; i < p.epilogue_queries; ++i) DeterministicQuery(pi, p);
+    if (p.crash_and_recover) target_->Repair();
+    return;
   }
-  // Crash strictly after the first scheduled checkpoint so there is
-  // something durable to recover (Validate guarantees checkpoints >= 1).
-  size_t crash_at = 0;
-  if (p.crash_and_recover && p.adds > 0) {
-    size_t lo = ckpt_at.empty() ? start_size + 1 : ckpt_at.front() + 1;
-    lo = std::min(lo, end_size);  // a checkpoint can land on the last add
-    crash_at = lo + sched_rng_.NextBounded(end_size - lo + 1);
-  }
-
+  const size_t end_size = target_->size() + p.adds;
+  const PhasePlan plan = PlanPhase(p);
   size_t next_ckpt = 0;
   bool crashed = false;
   double credit = 0.0;
-  while (index_->size() < end_size) {
+  while (target_->size() < end_size) {
     Status st = DoAdd();
     if (!st.ok()) {
-      AddViolation(InvariantId::kNoLostAckedWrites,
-                   "Add failed mid-phase: " + st.ToString());
+      run_.AddViolation(InvariantId::kNoLostAckedWrites,
+                        "Add failed mid-phase: " + st.ToString());
       return;
     }
-    const size_t row = index_->size() - 1;
-    outcome_.log.Append(EventKind::kAddAck, pi, row);
+    const size_t row = target_->size() - 1;
+    run_.outcome.log.Append(EventKind::kAddAck, pi, row);
     vclock_.AdvanceNanos(kVirtualNanosPerAdd);
 
     // Fire each threshold once, on first crossing; a crash may drop the size
     // back below an already-fired threshold, which must not re-fire it.
-    while (next_ckpt < ckpt_at.size() && index_->size() >= ckpt_at[next_ckpt]) {
-      DoCheckpoint(pi, p.inject_checkpoint_faults, &outcome_.log);
+    while (next_ckpt < plan.ckpt_at.size() &&
+           target_->size() >= plan.ckpt_at[next_ckpt]) {
+      DoCheckpoint(p.inject_checkpoint_faults, &run_.outcome.log);
       ++next_ckpt;
     }
-    if (!crashed && crash_at != 0 && index_->size() >= crash_at) {
+    if (!crashed && plan.crash_at != 0 && target_->size() >= plan.crash_at) {
       crashed = true;
-      DoCrashRecover(pi);
+      target_->Crash();
+      target_->Repair();
       credit = 0.0;
       continue;  // size may have regressed; re-check the loop condition
     }
@@ -458,13 +419,16 @@ void Driver::RunPhaseDeterministic(uint32_t pi, const PhaseSpec& p) {
 }
 
 void Driver::ReaderLoop(const PhaseSpec& p, uint64_t thread_seed,
-                        const std::atomic<bool>* stop, ThreadAgg* agg) {
+                        size_t quota, const std::atomic<bool>* stop,
+                        std::atomic<size_t>* done, Tally* agg) {
   Rng rng(thread_seed);
   QueryContext ctx(rng.Next());
-  size_t ordinal = 0;
-  while (!stop->load(std::memory_order_acquire)) {
+  uint64_t ordinal = 0;
+  while (!stop->load(std::memory_order_acquire) &&
+         (quota == 0 || ordinal < quota)) {
     QueryDraw q;
-    if (!DrawQuery(p, index_->size(), &rng, &q)) {
+    if (!DrawQuery(p, target_->size(), &rng, &q)) {
+      if (quota != 0) break;  // a query-only phase: no rows will arrive
       std::this_thread::yield();
       continue;
     }
@@ -475,70 +439,31 @@ void Driver::ReaderLoop(const PhaseSpec& p, uint64_t thread_seed,
       budget = QueryBudget::WithDeadline(q.budget_class);
       sp.budget = &budget;
     }
-    MbiQueryStats qstats;
     WallTimer timer;
     ++agg->issued;
-    Result<SearchResult> res =
-        index_->SearchAdmitted(q.vector, q.window, sp, &ctx, &qstats);
-    if (!res.ok()) {
-      if (res.status().code() == StatusCode::kResourceExhausted) {
-        ++agg->shed;
-      } else if (agg->violations.size() < 8) {
-        agg->violations.push_back(Violation{
-            InvariantId::kResultValidity,
-            "unexpected SearchAdmitted error: " + res.status().ToString()});
-      }
-      continue;
-    }
+    const Answer a = target_->Search(q, sp, &ctx);
     const double elapsed = timer.ElapsedSeconds();
-    const SearchResult& result = res.value();
-    if (result.degraded()) {
-      ++agg->degraded;
-    } else {
-      ++agg->complete;
-    }
-    if (q.budget_class > 0.0) {
+    ++ordinal;
+    done->fetch_add(1, std::memory_order_relaxed);
+    if (a.status.ok() && q.budget_class > 0.0) {
       agg->overshoot.Add(elapsed / q.budget_class);
     }
-    // I4 against the store size read *after* the query returned: the view
-    // the query pinned can only be a prefix of it.
-    const size_t bound = index_->size();
-    const std::string bad = CheckResultValidity(
-        index_->store(), bound, q.window, q.vector, q.k, result);
-    if (!bad.empty() && agg->violations.size() < 8) {
-      agg->violations.push_back(
-          Violation{InvariantId::kResultValidity,
-                    "phase " + p.name + " reader query: " + bad});
-    }
-    if (qstats.blocks_searched != qstats.graph_blocks + qstats.exact_blocks &&
-        agg->violations.size() < 8) {
-      agg->violations.push_back(
-          Violation{InvariantId::kMetricsConsistency,
-                    "blocks_searched != graph + exact in phase " + p.name});
-    }
-
-    // I2 sampling, against the same pinned view the query would have seen.
-    ++ordinal;
-    if (q.budget_class <= 0.0 && spec_.bounds.oracle_sample_every != 0 &&
-        ordinal % spec_.bounds.oracle_sample_every == 0) {
-      const ReadView view = index_->AcquireReadView();
-      MbiQueryStats vstats;
-      const SearchResult pinned =
-          index_->SearchView(view, q.vector, q.window, sp,
-                             spec_.index.tau, &ctx, &vstats);
-      ++agg->view_calls;
-      const SearchResult exact = ExactOracleTopK(
-          index_->store(), view.num_vectors, q.vector, q.k, q.window);
-      agg->recall.Add(RecallAtK(pinned, exact, q.k));
+    std::vector<Violation> found;
+    Grade(p, q, a, ordinal, agg, &found);
+    for (Violation& v : found) {
+      if (agg->violations.size() < kMaxReaderViolations) {
+        agg->violations.push_back(std::move(v));
+      }
     }
   }
+  if (quota > ordinal) done->fetch_add(quota - ordinal);
 }
 
 void Driver::OverloadBurst(uint32_t pi, const PhaseSpec& p) {
-  const size_t limit = spec_.index.max_inflight_queries;
+  const size_t limit = spec().index.max_inflight_queries;
   const size_t burst_threads = static_cast<size_t>(
       std::ceil(p.overload_factor * static_cast<double>(limit)));
-  if (burst_threads == 0 || index_->size() == 0) return;
+  if (burst_threads == 0 || target_->size() == 0) return;
   constexpr size_t kQueriesPerBurstThread = 50;
 
   std::atomic<size_t> issued{0};
@@ -547,13 +472,13 @@ void Driver::OverloadBurst(uint32_t pi, const PhaseSpec& p) {
   ThreadPool burst(burst_threads);
   for (size_t t = 0; t < burst_threads; ++t) {
     const uint64_t seed =
-        DeriveSeed(spec_.seed, SeedStream::kThreads, 7919 + t);
+        DeriveSeed(spec().seed, SeedStream::kThreads, 7919 + t);
     burst.Submit([this, &p, &issued, &shed, &degraded, seed] {
       Rng rng(seed);
       QueryContext ctx(rng.Next());
       for (size_t i = 0; i < kQueriesPerBurstThread; ++i) {
         QueryDraw q;
-        if (!DrawQuery(p, index_->size(), &rng, &q)) break;
+        if (!DrawQuery(p, target_->size(), &rng, &q)) break;
         SearchParams sp;
         sp.k = q.k;
         // Burst queries carry a deadline so the injected distance delay
@@ -562,43 +487,43 @@ void Driver::OverloadBurst(uint32_t pi, const PhaseSpec& p) {
             q.budget_class > 0.0 ? q.budget_class : 0.05);
         sp.budget = &budget;
         issued.fetch_add(1, std::memory_order_relaxed);
-        Result<SearchResult> res =
-            index_->SearchAdmitted(q.vector, q.window, sp, &ctx);
-        if (!res.ok()) {
+        const Answer a = target_->Search(q, sp, &ctx);
+        if (!a.status.ok()) {
           shed.fetch_add(1, std::memory_order_relaxed);
-        } else if (res.value().degraded()) {
+        } else if (a.result.degraded()) {
           degraded.fetch_add(1, std::memory_order_relaxed);
         }
       }
     });
   }
   burst.Wait();
-  issued_ += issued.load();
-  shed_ += shed.load();
-  degraded_ += degraded.load();
-  complete_ += issued.load() - shed.load() - degraded.load();
-  ++outcome_.stats.overload_bursts;
-  outcome_.log.Append(EventKind::kOverloadBurst, pi, issued.load(),
-                      shed.load());
+  tally_.issued += issued.load();
+  tally_.shed += shed.load();
+  tally_.degraded += degraded.load();
+  tally_.complete += issued.load() - shed.load() - degraded.load();
+  ++run_.outcome.stats.overload_bursts;
+  run_.outcome.log.Append(EventKind::kOverloadBurst, pi, issued.load(),
+                          shed.load());
+}
+
+void Driver::MergeReaders(std::vector<Tally>* aggs) {
+  for (Tally& a : *aggs) {
+    tally_.MergeFrom(a);
+    for (Violation& v : a.violations) {
+      run_.outcome.violations.push_back(std::move(v));
+    }
+  }
 }
 
 void Driver::RunPhaseConcurrent(uint32_t pi, const PhaseSpec& p) {
-  const size_t start_size = index_->size();
-  const size_t end_size = start_size + p.adds;
-
-  std::vector<size_t> ckpt_at;
-  for (size_t j = 1; j <= p.checkpoints; ++j) {
-    size_t off = p.adds * j / (p.checkpoints + 1);
-    ckpt_at.push_back(start_size + std::max<size_t>(1, off));
+  if (p.adds == 0) {
+    RunQueryOnlyConcurrent(pi, p);
+    return;
   }
-  size_t crash_at = 0;
-  if (p.crash_and_recover && p.adds > 0) {
-    size_t lo = ckpt_at.empty() ? start_size + 1 : ckpt_at.front() + 1;
-    lo = std::min(lo, end_size);
-    crash_at = lo + sched_rng_.NextBounded(end_size - lo + 1);
-  }
+  const size_t end_size = target_->size() + p.adds;
+  const PhasePlan plan = PlanPhase(p);
   const size_t burst_at =
-      p.overload_factor > 0.0 ? start_size + p.adds / 2 : 0;
+      p.overload_factor > 0.0 ? target_->size() + p.adds / 2 : 0;
 
   size_t next_ckpt = 0;
   bool crashed = false;
@@ -609,31 +534,32 @@ void Driver::RunPhaseConcurrent(uint32_t pi, const PhaseSpec& p) {
   // segment spins up readers + a checkpointer, the driver thread writes, and
   // everything joins at the segment boundary — so the crash destroys the
   // index only once no other thread can touch it.
-  while (index_->size() < end_size && !aborted) {
-    const size_t segment_end = (!crashed && crash_at != 0)
-                                   ? std::min(end_size, crash_at)
+  while (target_->size() < end_size && !aborted) {
+    const size_t segment_end = (!crashed && plan.crash_at != 0)
+                                   ? std::min(end_size, plan.crash_at)
                                    : end_size;
     std::atomic<bool> stop{false};
-    std::vector<ThreadAgg> aggs(p.query_threads);
+    std::atomic<size_t> done{0};
+    std::vector<Tally> aggs(p.query_threads);
     EventLog ckpt_log;
 
     ThreadPool pool(p.query_threads + 1);
     for (size_t t = 0; t < p.query_threads; ++t) {
       const uint64_t seed =
-          DeriveSeed(spec_.seed, SeedStream::kThreads, pi * 101 + t);
-      ThreadAgg* agg = &aggs[t];
-      pool.Submit([this, &p, seed, &stop, agg] {
-        ReaderLoop(p, seed, &stop, agg);
+          DeriveSeed(spec().seed, SeedStream::kThreads, pi * 101 + t);
+      Tally* agg = &aggs[t];
+      pool.Submit([this, &p, seed, &stop, &done, agg] {
+        ReaderLoop(p, seed, /*quota=*/0, &stop, &done, agg);
       });
     }
     // Checkpointer: fires each scheduled checkpoint once its size threshold
     // is reached. Owns next_ckpt and ckpt_log for the segment; the driver
     // thread touches them only after Wait().
-    pool.Submit([this, pi, &p, &stop, &ckpt_at, &next_ckpt, &ckpt_log] {
+    pool.Submit([this, &p, &stop, &plan, &next_ckpt, &ckpt_log] {
       while (!stop.load(std::memory_order_acquire)) {
-        if (next_ckpt < ckpt_at.size() &&
-            index_->size() >= ckpt_at[next_ckpt]) {
-          DoCheckpoint(pi, p.inject_checkpoint_faults, &ckpt_log);
+        if (next_ckpt < plan.ckpt_at.size() &&
+            target_->size() >= plan.ckpt_at[next_ckpt]) {
+          DoCheckpoint(p.inject_checkpoint_faults, &ckpt_log);
           ++next_ckpt;
         } else {
           std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -641,143 +567,180 @@ void Driver::RunPhaseConcurrent(uint32_t pi, const PhaseSpec& p) {
       }
     });
 
-    while (index_->size() < segment_end) {
+    while (target_->size() < segment_end) {
       Status st = DoAdd();
       if (!st.ok()) {
-        AddViolation(InvariantId::kNoLostAckedWrites,
-                     "Add failed mid-phase: " + st.ToString());
+        run_.AddViolation(InvariantId::kNoLostAckedWrites,
+                          "Add failed mid-phase: " + st.ToString());
         aborted = true;
         break;
       }
-      if (!burst_done && burst_at != 0 && index_->size() >= burst_at) {
+      if (!burst_done && burst_at != 0 && target_->size() >= burst_at) {
         burst_done = true;
         OverloadBurst(pi, p);
       }
     }
     stop.store(true, std::memory_order_release);
     pool.Wait();
-
-    // Merge what the workers saw.
-    for (ThreadAgg& a : aggs) {
-      issued_ += a.issued;
-      shed_ += a.shed;
-      degraded_ += a.degraded;
-      complete_ += a.complete;
-      view_calls_ += a.view_calls;
-      recall_.MergeFrom(a.recall);
-      overshoot_.MergeFrom(a.overshoot);
-      for (Violation& v : a.violations) {
-        outcome_.violations.push_back(std::move(v));
-      }
+    // A fast writer can finish the segment before the checkpointer wakes;
+    // take what was due now, so a crash always finds it.
+    while (next_ckpt < plan.ckpt_at.size() &&
+           target_->size() >= plan.ckpt_at[next_ckpt]) {
+      DoCheckpoint(p.inject_checkpoint_faults, &ckpt_log);
+      ++next_ckpt;
     }
-    for (const Event& e : ckpt_log.events()) outcome_.log.Append(e);
 
-    if (!aborted && !crashed && crash_at != 0 && index_->size() >= crash_at) {
+    MergeReaders(&aggs);
+    for (const Event& e : ckpt_log.events()) run_.outcome.log.Append(e);
+
+    if (!aborted && !crashed && plan.crash_at != 0 &&
+        target_->size() >= plan.crash_at) {
       crashed = true;
-      DoCrashRecover(pi);
+      target_->Crash();
+      target_->Repair();
     }
   }
 }
 
-void Driver::CheckEndOfRun(const CounterBaseline& base) {
-  // I2: recall floor over the sampled unbounded queries.
-  outcome_.stats.recall_mean = recall_.Mean();
-  outcome_.stats.recall_samples = recall_.count();
-  if (recall_.count() > 0) {
-    if (recall_.Mean() < spec_.bounds.recall_floor) {
-      AddViolation(InvariantId::kRecallFloor,
-                   "mean recall " + std::to_string(recall_.Mean()) + " < " +
-                       std::to_string(spec_.bounds.recall_floor) + " over " +
-                       std::to_string(recall_.count()) + " samples");
+// A query-only phase: each reader issues epilogue_queries queries while the
+// driver thread changes the target underneath them — checkpoints and the
+// crash once a quarter of the phase's queries are done, the repair at half.
+void Driver::RunQueryOnlyConcurrent(uint32_t pi, const PhaseSpec& p) {
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> done{0};
+  std::vector<Tally> aggs(p.query_threads);
+  const size_t total = p.query_threads * p.epilogue_queries;
+  const auto wait_for = [&done](size_t n) {
+    while (done.load(std::memory_order_relaxed) < n) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  };
+  {
+    ThreadPool pool(std::max<size_t>(1, p.query_threads));
+    for (size_t t = 0; t < p.query_threads; ++t) {
+      const uint64_t seed =
+          DeriveSeed(spec().seed, SeedStream::kThreads, pi * 101 + t);
+      Tally* agg = &aggs[t];
+      pool.Submit([this, &p, seed, &stop, &done, agg] {
+        ReaderLoop(p, seed, p.epilogue_queries, &stop, &done, agg);
+      });
+    }
+    wait_for(total / 4);
+    for (size_t j = 0; j < p.checkpoints; ++j) {
+      DoCheckpoint(p.inject_checkpoint_faults, &run_.outcome.log);
+    }
+    if (p.crash_and_recover) {
+      target_->Crash();
+      wait_for(total / 2);
+      target_->Repair();
+    }
+    pool.Wait();
+  }
+  MergeReaders(&aggs);
+}
+
+void Driver::RunPhases() {
+  for (uint32_t pi = 0; pi < spec().phases.size(); ++pi) {
+    const PhaseSpec& p = spec().phases[pi];
+    run_.phase = pi;
+    run_.outcome.log.Append(EventKind::kPhaseStart, pi);
+    target_->BeginPhase(p);
+    if (run_.concurrent()) {
+      RunPhaseConcurrent(pi, p);
     } else {
-      PassInvariant(InvariantId::kRecallFloor);
+      RunPhaseDeterministic(pi, p);
+    }
+    run_.outcome.log.Append(EventKind::kPhaseEnd, pi);
+  }
+}
+
+void Driver::CheckEndOfRun(const std::vector<uint64_t>& counter_base) {
+  ScenarioStats& stats = run_.outcome.stats;
+  const bool concurrent = run_.concurrent();
+
+  // I2: recall floor over the sampled unbounded queries.
+  stats.recall_mean = tally_.recall.Mean();
+  stats.recall_samples = tally_.recall.count();
+  if (tally_.recall.count() > 0) {
+    if (tally_.recall.Mean() < spec().bounds.recall_floor) {
+      run_.AddViolation(
+          InvariantId::kRecallFloor,
+          "mean recall " + std::to_string(tally_.recall.Mean()) + " < " +
+              std::to_string(spec().bounds.recall_floor) + " over " +
+              std::to_string(tally_.recall.count()) + " samples");
+    } else {
+      run_.PassInvariant(InvariantId::kRecallFloor);
     }
   }
 
   // I3: p99 deadline overshoot — only meaningful when an injected delay
   // makes per-unit work dominate scheduler noise.
-  outcome_.stats.p99_overshoot = overshoot_.Quantile(0.99);
-  outcome_.stats.overshoot_samples = overshoot_.count();
+  stats.p99_overshoot = tally_.overshoot.Quantile(0.99);
+  stats.overshoot_samples = tally_.overshoot.count();
   constexpr size_t kMinOvershootSamples = 20;
-  if (opts_.mode == RunMode::kConcurrent &&
-      opts_.injected_distance_delay_nanos > 0 &&
-      overshoot_.count() >= kMinOvershootSamples) {
-    if (outcome_.stats.p99_overshoot > spec_.bounds.p99_overshoot_factor) {
-      AddViolation(InvariantId::kDeadlineOvershoot,
-                   "p99 overshoot " +
-                       std::to_string(outcome_.stats.p99_overshoot) + " > " +
-                       std::to_string(spec_.bounds.p99_overshoot_factor) +
-                       " over " + std::to_string(overshoot_.count()) +
-                       " samples");
+  if (concurrent && run_.opts.injected_distance_delay_nanos > 0 &&
+      tally_.overshoot.count() >= kMinOvershootSamples) {
+    if (stats.p99_overshoot > spec().bounds.p99_overshoot_factor) {
+      run_.AddViolation(
+          InvariantId::kDeadlineOvershoot,
+          "p99 overshoot " + std::to_string(stats.p99_overshoot) + " > " +
+              std::to_string(spec().bounds.p99_overshoot_factor) + " over " +
+              std::to_string(tally_.overshoot.count()) + " samples");
     } else {
-      PassInvariant(InvariantId::kDeadlineOvershoot);
+      run_.PassInvariant(InvariantId::kDeadlineOvershoot);
     }
   }
 
   // I5: the process-wide obs counters must have moved exactly as many times
   // as the driver observed the corresponding outcome.
-  const CounterProbe probe = CounterProbe::Get();
-  const uint64_t dq = probe.queries->Value() - base.queries;
-  const uint64_t dd = probe.degraded->Value() - base.degraded;
-  const uint64_t ds = probe.shed->Value() - base.shed;
-  const uint64_t di = probe.invalid->Value() - base.invalid;
-  const uint64_t expect_q =
-      static_cast<uint64_t>(issued_ - shed_ + view_calls_);
-  bool i5_ok = true;
-  if (dq != expect_q) {
-    AddViolation(InvariantId::kMetricsConsistency,
-                 "mbi_queries_total moved " + std::to_string(dq) +
-                     ", driver observed " + std::to_string(expect_q));
-    i5_ok = false;
+  const std::vector<CounterCheck> checks = target_->Counters(tally_);
+  if (!checks.empty()) {
+    obs::MetricRegistry& reg = obs::MetricRegistry::Default();
+    bool i5_ok = true;
+    for (size_t i = 0; i < checks.size(); ++i) {
+      const uint64_t moved =
+          reg.GetCounter(checks[i].name)->Value() - counter_base[i];
+      if (moved != checks[i].expected) {
+        run_.AddViolation(InvariantId::kMetricsConsistency,
+                          std::string(checks[i].name) + " moved " +
+                              std::to_string(moved) + ", driver observed " +
+                              std::to_string(checks[i].expected));
+        i5_ok = false;
+      }
+    }
+    if (i5_ok) run_.PassInvariant(InvariantId::kMetricsConsistency);
   }
-  if (dd != degraded_) {
-    AddViolation(InvariantId::kMetricsConsistency,
-                 "mbi_query_degraded_total moved " + std::to_string(dd) +
-                     ", driver observed " + std::to_string(degraded_));
-    i5_ok = false;
-  }
-  if (ds != shed_) {
-    AddViolation(InvariantId::kMetricsConsistency,
-                 "mbi_query_shed_total moved " + std::to_string(ds) +
-                     ", driver observed " + std::to_string(shed_));
-    i5_ok = false;
-  }
-  if (di != 0) {
-    AddViolation(InvariantId::kMetricsConsistency,
-                 "mbi_query_invalid_total moved " + std::to_string(di) +
-                     " though no invalid query was issued");
-    i5_ok = false;
-  }
-  if (i5_ok) PassInvariant(InvariantId::kMetricsConsistency);
 
   // I6: admission never exceeded the configured limit (across every index
   // incarnation the run went through).
-  high_water_peak_ =
-      std::max(high_water_peak_, index_->inflight_high_water());
-  outcome_.stats.inflight_high_water = high_water_peak_;
-  if (spec_.index.max_inflight_queries > 0) {
-    if (high_water_peak_ > spec_.index.max_inflight_queries) {
-      AddViolation(InvariantId::kAdmissionBound,
-                   "inflight high water " + std::to_string(high_water_peak_) +
-                       " > limit " +
-                       std::to_string(spec_.index.max_inflight_queries));
+  stats.inflight_high_water = target_->InflightHighWater();
+  const size_t limit = spec().index.max_inflight_queries;
+  if (limit > 0) {
+    if (stats.inflight_high_water > limit) {
+      run_.AddViolation(InvariantId::kAdmissionBound,
+                        "inflight high water " +
+                            std::to_string(stats.inflight_high_water) +
+                            " > limit " + std::to_string(limit));
     } else {
-      PassInvariant(InvariantId::kAdmissionBound);
+      run_.PassInvariant(InvariantId::kAdmissionBound);
     }
   }
 }
 
 Result<ScenarioOutcome> Driver::Run() {
-  MBI_RETURN_IF_ERROR(spec_.Validate());
+  MBI_RETURN_IF_ERROR(spec().Validate());
   MBI_RETURN_IF_ERROR(Setup());
 
-  outcome_.name = spec_.name;
-  outcome_.seed = spec_.seed;
-  outcome_.mode = opts_.mode;
+  ScenarioOutcome& out = run_.outcome;
+  out.name = spec().name;
+  out.seed = spec().seed;
+  out.mode = run_.opts.mode;
 
-  const CounterProbe probe = CounterProbe::Get();
-  CounterBaseline base{probe.queries->Value(), probe.degraded->Value(),
-                       probe.shed->Value(), probe.invalid->Value()};
+  std::vector<uint64_t> counter_base;
+  for (const CounterCheck& c : target_->Counters(tally_)) {
+    counter_base.push_back(
+        obs::MetricRegistry::Default().GetCounter(c.name)->Value());
+  }
 
   // Physical wall time for the stats block only — never logged, so it does
   // not affect replay determinism.
@@ -785,42 +748,33 @@ Result<ScenarioOutcome> Driver::Run() {
   // mbi-lint: allow(wall-clock) — stats-only reading, outside the event log
   const PhysicalClock::time_point wall_start = PhysicalClock::now();
 
-  if (opts_.mode == RunMode::kDeterministic) {
+  if (run_.concurrent()) {
+    budget_testing::ScopedDistanceDelay delay_guard(
+        run_.opts.injected_distance_delay_nanos);
+    RunPhases();
+  } else {
     vclock_.SetNanos(1);  // t=0 would make a fresh deadline pre-expired
     ScopedClockOverride clock_guard(&vclock_);
-    for (uint32_t pi = 0; pi < spec_.phases.size(); ++pi) {
-      current_phase_ = pi;
-      outcome_.log.Append(EventKind::kPhaseStart, pi);
-      RunPhaseDeterministic(pi, spec_.phases[pi]);
-      outcome_.log.Append(EventKind::kPhaseEnd, pi);
-    }
-  } else {
-    budget_testing::ScopedDistanceDelay delay_guard(
-        opts_.injected_distance_delay_nanos);
-    for (uint32_t pi = 0; pi < spec_.phases.size(); ++pi) {
-      current_phase_ = pi;
-      outcome_.log.Append(EventKind::kPhaseStart, pi);
-      RunPhaseConcurrent(pi, spec_.phases[pi]);
-      outcome_.log.Append(EventKind::kPhaseEnd, pi);
-    }
+    RunPhases();
   }
 
-  index_->FinishPendingBuilds();
-  CheckEndOfRun(base);
+  target_->Finish(&out.stats);
+  CheckEndOfRun(counter_base);
 
-  outcome_.stats.queries = issued_;
-  outcome_.stats.complete = complete_;
-  outcome_.stats.degraded = degraded_;
-  outcome_.stats.shed = shed_;
-  outcome_.stats.final_size = index_->size();
-  outcome_.stats.final_blocks = index_->num_blocks();
+  out.stats.queries = tally_.issued;
+  out.stats.complete = tally_.complete;
+  out.stats.degraded = tally_.degraded;
+  out.stats.shed = tally_.shed;
+  out.stats.hedges = tally_.hedges;
+  out.stats.shard_retries = tally_.retries;
+  out.stats.partial_results = tally_.partial;
   const PhysicalClock::time_point wall_end =
       PhysicalClock::now();  // mbi-lint: allow(wall-clock) — stats-only
-  outcome_.stats.wall_seconds =
+  out.stats.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
 
   Teardown();
-  return std::move(outcome_);
+  return std::move(out);
 }
 
 }  // namespace

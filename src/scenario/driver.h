@@ -1,4 +1,6 @@
-// The scenario phase driver: replays a ScenarioSpec against a live MbiIndex.
+// The scenario driver: replays a ScenarioSpec against its target — one live
+// MbiIndex, or a ShardedMbi fleet beside an exact single-store oracle — with
+// one add loop, one query path and one set of invariant checks for both.
 //
 // Two run modes share one spec:
 //
@@ -9,16 +11,20 @@
 //     fingerprints match bit for bit. Budget classes map to work caps (the
 //     deterministic analog of deadlines); a seed-derived slice of budgeted
 //     queries instead carries an already-expired virtual-clock deadline to
-//     exercise the deadline path deterministically.
+//     exercise the deadline path deterministically. Sharded fan-out is
+//     serial, with injected probe delays simulated rather than slept.
 //
 //   kConcurrent — a writer (the driver thread) races N reader threads
 //     issuing admitted, deadline-bounded queries, a checkpointer thread
 //     snapshotting mid-ingest, and optional overload bursts past the
-//     admission limit; scripted crash points quiesce the threads, kill the
-//     index, recover from the checkpoint directory and resume. Per-result
-//     validity (I4) is checked inline on every reader; aggregate invariants
-//     (recall floor, p99 overshoot, counter consistency, admission bound)
-//     at end of run. This is the TSan soak target.
+//     admission limit; scripted MbiIndex crash points quiesce the threads,
+//     kill the index, recover from the checkpoint directory and resume.
+//     Sharded runs fan out on a pool with real injected delays and sheds,
+//     and the fault shard's checkpoint -> crash -> recover cycle races the
+//     readers of a query-only phase. Per-result validity (I4) is checked
+//     inline on every reader; aggregate invariants (recall floor, p99
+//     overshoot, counter consistency, admission bound) at end of run. This
+//     is the TSan soak target.
 //
 // Both modes enforce invariant I1 at every recovery: nothing a committed
 // checkpoint acknowledged may be missing or differ bit-wise after Recover.
@@ -77,7 +83,7 @@ struct ScenarioStats {
   size_t overshoot_samples = 0;
   double wall_seconds = 0.0;  ///< physical, not logged (nondeterministic)
 
-  // Sharded scatter-gather runs only (src/shard/shard_scenario.h):
+  // Sharded targets only:
   size_t hedges = 0;           ///< backup probes launched
   size_t shard_retries = 0;    ///< shed retries consumed across all probes
   size_t quarantines = 0;      ///< shards taken out of rotation

@@ -37,7 +37,7 @@ enum class EventKind : uint8_t {
   kShed = 10,            // a: query ordinal
   kInvariant = 11,       // a: invariant id, b: pass(1)/fail(0)
   kOverloadBurst = 12,   // a: issued, b: shed
-  // Sharded scatter-gather runs (src/shard/shard_scenario.h):
+  // Sharded scatter-gather runs:
   kHedge = 13,           // a: query ordinal, b: hedges fired
   kQuarantine = 14,      // a: shard index, b: status code
 };

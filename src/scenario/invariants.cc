@@ -55,8 +55,15 @@ std::string CheckResultValidity(const VectorStore& store, size_t view_size,
                   result.size(), k);
     return buf;
   }
+  if (result.shards_ok < result.shards_total && !result.degraded()) {
+    std::snprintf(buf, sizeof(buf),
+                  "%u/%u shards answered but the result claims completeness",
+                  result.shards_ok, result.shards_total);
+    return buf;
+  }
   const DistanceFunction& dist = store.distance();
   float prev = -std::numeric_limits<float>::infinity();
+  VectorId prev_id = -1;
   // mbi-lint: allow(budget-charge) — invariant recompute, not a query path
   for (size_t i = 0; i < result.size(); ++i) {
     const Neighbor& nb = result[i];
@@ -90,7 +97,14 @@ std::string CheckResultValidity(const VectorStore& store, size_t view_size,
                     nb.distance, prev);
       return buf;
     }
+    // Sorted by (distance, id), a duplicate id lands next to its twin.
+    if (nb.distance == prev && nb.id == prev_id) {
+      std::snprintf(buf, sizeof(buf), "neighbor %zu: duplicate id %lld", i,
+                    static_cast<long long>(nb.id));
+      return buf;
+    }
     prev = nb.distance;
+    prev_id = nb.id;
   }
   return "";
 }

@@ -24,6 +24,9 @@
 //   I5 metrics-consistency   obs counters moved exactly as many times as
 //                            the driver observed the corresponding outcome
 //   I6 admission-bound       inflight high-water <= max_inflight_queries
+//   I7 shard-oracle-match    a full-coverage merge over a static fleet is
+//                            bit-identical to the exact oracle top-k
+//   I8 shard-retry-budget    shed retries per probe chain <= max_retries
 
 #ifndef MBI_SCENARIO_INVARIANTS_H_
 #define MBI_SCENARIO_INVARIANTS_H_
@@ -47,11 +50,11 @@ enum class InvariantId : uint64_t {
   kResultValidity = 4,
   kMetricsConsistency = 5,
   kAdmissionBound = 6,
-  // Sharded scatter-gather (src/shard, checked by shard scenarios):
+  // Sharded scatter-gather (checked by the ShardedMbi target):
   kShardOracleMatch = 7,   ///< all-healthy merges bit-match a single-index
                            ///< oracle over the same rows
-  kShardRetryBudget = 8,   ///< retries consumed <= probed shards *
-                           ///< backoff.max_retries, per query
+  kShardRetryBudget = 8,   ///< retries consumed <= backoff.max_retries per
+                           ///< probe chain, per query
 };
 
 const char* InvariantName(InvariantId id);
@@ -71,8 +74,10 @@ SearchResult ExactOracleTopK(const VectorStore& store, size_t view_size,
                              const TimeWindow& window);
 
 /// I4 for one result: every neighbor in-window and inside the pinned view,
-/// distance equal to the recomputed distance, list sorted, size <= k.
-/// Returns an empty string when valid, else the first problem found.
+/// distance equal to the recomputed distance, list sorted and free of
+/// duplicate ids, size <= k, and a short-handed shard merge flagged
+/// degraded. Returns an empty string when valid, else the first problem
+/// found.
 std::string CheckResultValidity(const VectorStore& store, size_t view_size,
                                 const TimeWindow& window,
                                 const float* query, size_t k,

@@ -17,6 +17,15 @@ Status ScenarioSpec::Validate() const {
     return Status::InvalidArgument("scenario needs at least one phase");
   }
   MBI_RETURN_IF_ERROR(index.Validate());
+  if (is_sharded()) {
+    MBI_RETURN_IF_ERROR(sharded.Validate());
+    // Synthetic timestamps are 0..n-1, so the fleet is ceil(n / span).
+    const auto span = static_cast<size_t>(sharded.shard_span);
+    if (fault_shard >= (TotalAdds() + span - 1) / span) {
+      return Status::InvalidArgument("fault_shard beyond the fleet");
+    }
+  }
+  bool checkpointed = false;
   for (const PhaseSpec& p : phases) {
     if (p.name.empty()) {
       return Status::InvalidArgument("phase needs a name");
@@ -41,19 +50,38 @@ Status ScenarioSpec::Validate() const {
                                        p.name);
       }
     }
-    if (p.crash_and_recover && p.checkpoints == 0) {
+    if (p.adds > 0 && p.epilogue_queries > 0) {
       return Status::InvalidArgument(
-          "crash_and_recover needs at least one checkpoint in phase " +
-          p.name);
+          "epilogue_queries is for query-only phases, in phase " + p.name);
     }
-    if (p.overload_factor > 0.0 && index.max_inflight_queries == 0) {
+    checkpointed = checkpointed || p.checkpoints > 0;
+    if (p.crash_and_recover && !checkpointed) {
       return Status::InvalidArgument(
-          "overload_factor needs index.max_inflight_queries > 0 in phase " +
-          p.name);
+          "crash_and_recover needs a checkpoint in this or an earlier phase, "
+          "in phase " + p.name);
+    }
+    if (p.crash_and_recover && (p.adds == 0) != is_sharded()) {
+      return Status::InvalidArgument(
+          "crash_and_recover: an MbiIndex crashes mid-ingest, a shard across "
+          "a query-only phase, in phase " + p.name);
+    }
+    if (p.overload_factor > 0.0 &&
+        (index.max_inflight_queries == 0 || is_sharded())) {
+      return Status::InvalidArgument(
+          "overload_factor needs an MbiIndex with index.max_inflight_queries "
+          "> 0, in phase " + p.name);
     }
     if (p.adds > 0 && p.checkpoints > p.adds) {
       return Status::InvalidArgument("more checkpoints than adds in phase " +
                                      p.name);
+    }
+    if (p.brownout_delay_seconds < 0.0 || p.brownout_shed_prob < 0.0 ||
+        p.brownout_shed_prob > 1.0 ||
+        (!is_sharded() &&
+         (p.brownout_delay_seconds > 0.0 || p.brownout_shed_prob > 0.0))) {
+      return Status::InvalidArgument(
+          "brownouts need a sharded target, delay >= 0 and shed in [0, 1], "
+          "in phase " + p.name);
     }
   }
   if (bounds.recall_floor < 0.0 || bounds.recall_floor > 1.0) {

@@ -1,19 +1,20 @@
 // Declarative whole-stack scenario specs.
 //
-// A ScenarioSpec describes a burst workload against one live MbiIndex as a
-// sequence of phases: how many vectors arrive, how many queries ride along
-// per arrival, the window-length / k / budget mix those queries draw from,
-// which checkpoints happen mid-phase, where the process "crashes" and
-// recovers, and whether the phase deliberately rams the admission limit.
-// Everything is derived from a single seed through per-component SplitMix64
-// streams, so a scenario is a pure function of (spec, seed): the
-// deterministic driver replays it bit-for-bit (tests/scenario_test.cc
-// asserts identical event-log fingerprints across runs), and the concurrent
-// driver reuses the same spec with real threads for TSan soak runs.
+// A ScenarioSpec describes a burst workload against one live target — a
+// single MbiIndex, or a ShardedMbi fleet when `sharded.shard_span` is set —
+// as a sequence of phases: how many vectors arrive, how many queries ride
+// along per arrival, the window-length / k / budget mix those queries draw
+// from, which checkpoints happen mid-phase, where the target "crashes" and
+// recovers, whether the phase deliberately rams the admission limit, and
+// (sharded) whether one shard browns out. Everything is derived from a
+// single seed through per-component SplitMix64 streams, so a scenario is a
+// pure function of (spec, seed): the deterministic driver replays it
+// bit-for-bit (tests/scenario_test.cc asserts identical event-log
+// fingerprints across runs), and the concurrent driver reuses the same spec
+// with real threads for TSan soak runs.
 //
-// This is the e2e layer ROADMAP item 5 calls for: units prove each
-// subsystem alone; scenarios prove ingest + queries + checkpoints +
-// deadlines + overload + faults compose.
+// Units prove each subsystem alone; scenarios prove ingest + queries +
+// checkpoints + deadlines + overload + faults compose.
 
 #ifndef MBI_SCENARIO_SCENARIO_H_
 #define MBI_SCENARIO_SCENARIO_H_
@@ -25,6 +26,7 @@
 
 #include "core/distance.h"
 #include "mbi/mbi_index.h"
+#include "shard/sharded_mbi.h"
 #include "util/status.h"
 
 namespace mbi::scenario {
@@ -52,7 +54,7 @@ struct QueryMix {
 struct PhaseSpec {
   std::string name;
 
-  /// Vectors ingested during this phase.
+  /// Vectors ingested during this phase. 0 makes a query-only phase.
   size_t adds = 0;
 
   /// Mean queries issued per arrival (fractional rates accumulate credit:
@@ -61,9 +63,15 @@ struct PhaseSpec {
   /// magnitude.
   double queries_per_add = 1.0;
 
+  /// Query-only phases: queries issued (per reader thread in concurrent
+  /// mode).
+  size_t epilogue_queries = 0;
+
   QueryMix mix;
 
-  /// Checkpoints scheduled at evenly spaced add-offsets within the phase.
+  /// Checkpoints scheduled at evenly spaced add-offsets within the phase; a
+  /// query-only phase takes them up front. A sharded target checkpoints
+  /// every shard into its own directory.
   size_t checkpoints = 0;
 
   /// Arm a seed-derived FaultPlan (persist::FaultScheduleGenerator) before
@@ -71,9 +79,13 @@ struct PhaseSpec {
   /// one recoverable; the driver verifies that.
   bool inject_checkpoint_faults = false;
 
-  /// Kill the index at a seed-derived add-offset after the phase's first
-  /// committed checkpoint, recover from the checkpoint directory, verify no
-  /// acknowledged-durable write was lost, then resume the phase.
+  /// MbiIndex target: kill the index at a seed-derived add-offset after the
+  /// phase's first committed checkpoint, recover from the checkpoint
+  /// directory, verify no acknowledged-durable write was lost, then resume
+  /// the phase. ShardedMbi target (query-only phases): fault_shard "loses
+  /// its machine" before the phase's queries, which degrade around the
+  /// hole; after them it recovers its last checkpoint (same check) and the
+  /// lost tail is backfilled.
   bool crash_and_recover = false;
 
   /// Concurrent mode only: reader threads issuing this phase's queries.
@@ -84,13 +96,20 @@ struct PhaseSpec {
   /// scheduled burst point to exercise shedding. Requires the spec to set
   /// index.max_inflight_queries.
   double overload_factor = 0.0;
+
+  /// Sharded target only: while the phase runs, probes of fault_shard gain
+  /// brownout_delay_seconds of latency (simulated in deterministic mode)
+  /// and shed with brownout_shed_prob; 1.0 blacks the shard out. Delay at
+  /// or above the hedge delay makes hedges fire; sheds exercise backoff.
+  double brownout_delay_seconds = 0.0;
+  double brownout_shed_prob = 0.0;
 };
 
 /// End-of-run invariant thresholds. A scenario fails (driver returns a
 /// violation list) when any bound is broken.
 struct InvariantBounds {
   /// Minimum mean recall vs the exact oracle over the sampled unbounded
-  /// queries (checked against the same pinned view the query ran on).
+  /// queries (checked against the rows the query could see).
   double recall_floor = 0.85;
 
   /// p99 bound on observed_elapsed / deadline for deadline-bounded queries.
@@ -103,7 +122,7 @@ struct InvariantBounds {
   size_t oracle_sample_every = 5;
 };
 
-/// A complete scenario: index configuration + data shape + phases + bounds.
+/// A complete scenario: target configuration + data shape + phases + bounds.
 struct ScenarioSpec {
   std::string name;
   uint64_t seed = 42;
@@ -112,18 +131,29 @@ struct ScenarioSpec {
   Metric metric = Metric::kL2;
 
   /// Index parameters (leaf size, block kind, admission limit, ingest
-  /// backpressure cap, worker threads, ...).
+  /// backpressure cap, worker threads, ...) of the MbiIndex, or of every
+  /// shard of a sharded target.
   MbiParams index;
+
+  /// shard_span > 0 runs the scenario against a ShardedMbi with these
+  /// fan-out parameters, over shards configured by `index` (the `shard`
+  /// member is not read), beside an exact single-store oracle.
+  shard::ShardedMbiParams sharded;
+
+  /// Sharded target: the shard brownouts and crashes hit.
+  size_t fault_shard = 1;
 
   std::vector<PhaseSpec> phases;
 
   InvariantBounds bounds;
 
+  bool is_sharded() const { return sharded.shard_span > 0; }
+
   /// Total vectors across all phases.
   size_t TotalAdds() const;
 
   /// Rejects nonsense (no phases, empty mixes, overload without an
-  /// admission limit, zero dim, ...).
+  /// admission limit, zero dim, a fault shard beyond the fleet, ...).
   Status Validate() const;
 };
 

@@ -702,7 +702,7 @@ Result<SearchResult> ShardedMbi::Search(const float* query,
     if (n > 0) {
       const int64_t span = params_.shard_span;
       const int64_t lo_t = std::max<Timestamp>(window.start, 0);
-      const int64_t covered_end = static_cast<int64_t>(n) * span;
+      const int64_t covered_end = ShardWindow(n - 1).end;
       const int64_t hi_t = std::min<Timestamp>(window.end, covered_end);
       if (hi_t > lo_t) {
         const size_t lo = static_cast<size_t>(lo_t / span);

@@ -47,6 +47,7 @@
 #define MBI_SHARD_SHARDED_MBI_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -207,10 +208,15 @@ class ShardedMbi {
   /// shard lowers it until repair completes).
   size_t size() const MBI_EXCLUDES(mu_);
 
-  /// The time span shard i owns.
+  /// The time span shard i owns, saturated at INT64_MAX: with spans near
+  /// 2^62 the far edge of the last shard lies past the int64 range.
   TimeWindow ShardWindow(size_t i) const {
-    const int64_t lo = static_cast<int64_t>(i) * params_.shard_span;
-    return TimeWindow{lo, lo + params_.shard_span};
+    const int64_t span = params_.shard_span;
+    const int64_t max = std::numeric_limits<int64_t>::max();
+    const int64_t lo = i > static_cast<uint64_t>(max / span)
+                           ? max
+                           : static_cast<int64_t>(i) * span;
+    return TimeWindow{lo, lo > max - span ? max : lo + span};
   }
 
   /// Global id of shard i's first row.

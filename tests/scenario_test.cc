@@ -141,6 +141,25 @@ TEST(DeterministicReplay, SameSeedBitIdenticalAcrossCatalog) {
   }
 }
 
+// The "same behaviour" gate: the seed-42 event logs of the single-index
+// scenarios are pinned. A new value means the index or the driver now does
+// something different, bit for bit; say which events moved when updating.
+TEST(DeterministicReplay, SingleIndexFingerprintsArePinned) {
+  const std::vector<std::pair<std::string, uint32_t>> pinned = {
+      {"steady_state_soak", 0x48af6b6au},
+      {"market_open_burst", 0xaf4dd3d7u},
+      {"crash_during_cascade", 0xae527b7au},
+      {"overload_storm", 0xcb974158u},
+      {"recover_then_requery", 0x28f59dd3u},
+  };
+  RunOptions opts;
+  opts.mode = RunMode::kDeterministic;
+  for (const auto& [name, fingerprint] : pinned) {
+    const ScenarioOutcome o = MustRun(MustGet(name, 42), opts);
+    EXPECT_EQ(o.log.Fingerprint(), fingerprint) << name;
+  }
+}
+
 TEST(DeterministicReplay, DifferentSeedsDiverge) {
   RunOptions opts;
   opts.mode = RunMode::kDeterministic;

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -174,6 +175,30 @@ TEST(ShardedMbi, MaxShardsCapsGrowth) {
   EXPECT_TRUE(index.Add(v, 19).ok());
   const Status st = index.Add(v, 20);
   EXPECT_EQ(st.code(), StatusCode::kOutOfRange);
+}
+
+// A span of 2^62 puts shard 1's far edge at 2^63: the shard windows and the
+// planner saturate at INT64_MAX instead of wrapping negative.
+TEST(ShardedMbi, HugeSpanSaturatesAtInt64Max) {
+  const int64_t span = int64_t{1} << 62;
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  ShardedMbi index(4, Metric::kL2, FlatParams(span));
+  const float v[4] = {1, 2, 3, 4};
+  ASSERT_TRUE(index.Add(v, 0).ok());
+  ASSERT_TRUE(index.Add(v, span).ok());
+  EXPECT_EQ(index.ShardWindow(0), (TimeWindow{0, span}));
+  EXPECT_EQ(index.ShardWindow(1), (TimeWindow{span, max}));
+  EXPECT_EQ(index.ShardWindow(2), (TimeWindow{max, max}));
+  EXPECT_TRUE(index.AppendToShard(1, v, span + 5).ok());
+  ASSERT_TRUE(index.Add(v, max - 1).ok());
+
+  SearchParams sp;
+  sp.k = 3;
+  QueryContext ctx(1);
+  Result<SearchResult> all = index.Search(v, TimeWindow::All(), sp, &ctx);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all.value().size(), 3u);
+  EXPECT_EQ(all.value().shards_total, 2u);
 }
 
 // With flat (exact) blocks, a sharded query over any window must

@@ -1,5 +1,6 @@
 // VectorStore: append ordering, timestamp binary search, range windows.
 
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +30,21 @@ TEST(VectorStoreTest, RejectsOutOfOrderTimestamps) {
   Status s = store.Append(V({2}).data(), 4);
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(store.size(), 1u);  // failed append must not modify the store
+}
+
+TEST(VectorStoreTest, RejectsTimestampInt64Max) {
+  // No half-open window [a, b) contains INT64_MAX, and RangeWindow's
+  // exclusive end (last + 1) would overflow on it.
+  VectorStore store(1, Metric::kL2);
+  const Timestamp max = std::numeric_limits<Timestamp>::max();
+  EXPECT_EQ(store.Append(V({1}).data(), max).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.size(), 0u);
+  ASSERT_TRUE(store.Append(V({1}).data(), max - 1).ok());
+  EXPECT_EQ(store.RangeWindow(IdRange{0, 1}), (TimeWindow{max - 1, max}));
+  EXPECT_EQ(store.Append(V({2}).data(), max).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.size(), 1u);
 }
 
 TEST(VectorStoreTest, AcceptsEqualTimestamps) {
