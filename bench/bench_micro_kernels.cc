@@ -43,7 +43,18 @@ void BM_AngularDistance(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_AngularDistance)->Arg(32)->Arg(100)->Arg(128);
+BENCHMARK(BM_AngularDistance)->Arg(32)->Arg(100)->Arg(128)->Arg(960);
+
+void BM_NegativeInnerProduct(benchmark::State& state) {
+  const size_t dim = state.range(0);
+  auto a = RandomVec(dim, 8), b = RandomVec(dim, 9);
+  // mbi-lint: allow(budget-charge) — kernel microbenchmark, no budget
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(NegativeInnerProduct(a.data(), b.data(), dim));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NegativeInnerProduct)->Arg(32)->Arg(100)->Arg(128)->Arg(960);
 
 void BM_TopKHeapPush(benchmark::State& state) {
   const size_t k = state.range(0);

@@ -1,6 +1,7 @@
 #include "core/distance.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "util/check.h"
 
@@ -53,52 +54,83 @@ float L2SquaredDistance(const float* a, const float* b, size_t dim) {
 
 namespace {
 
-// dot(a,b), |a|^2, |b|^2 in one pass.
-void DotAndNorms(const float* a, const float* b, size_t dim, float* dot,
-                 float* na, float* nb) {
-  float d0 = 0, d1 = 0;
-  float a0 = 0, a1 = 0;
-  float b0 = 0, b1 = 0;
+// The angular and inner-product kernels share one summation order. Element
+// i < 16 * (dim / 16) adds into lane i % 16 of two 8-float vectors, the 16
+// lanes reduce by a fixed tree (SumLanes), and the last dim % 16 elements
+// add one by one after. GCC and Clang lower the vector type to one AVX
+// register or two SSE registers with the same lane-wise IEEE operations, so
+// every lowering returns the same bits. The build turns off floating-point
+// contraction (CMakeLists.txt), which would otherwise fuse the multiply-add
+// into an FMA wherever the target has one.
+using Float8 = float __attribute__((vector_size(32)));
+
+// x86-64 ELF builds without -mavx2 compile each kernel twice, and the
+// dynamic loader (through an ifunc) binds the AVX2 clone where the CPU
+// supports it.
+#if defined(__x86_64__) && defined(__ELF__) && !defined(__AVX2__)
+#define MBI_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define MBI_KERNEL_CLONES
+#endif
+
+[[gnu::always_inline]] inline float SumLanes(const Float8& lo,
+                                             const Float8& hi) {
+  const Float8 s = lo + hi;
+  return ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]));
+}
+
+struct ProductSums {
+  float ab, aa, bb;
+};
+
+// sum(a*b), and with kNorms also sum(a*a) and sum(b*b), in the order above.
+template <bool kNorms>
+[[gnu::always_inline]] inline ProductSums SumProducts(const float* a,
+                                                      const float* b,
+                                                      size_t dim) {
+  Float8 ab_lo = {}, ab_hi = {}, aa_lo = {}, aa_hi = {}, bb_lo = {},
+         bb_hi = {};
   size_t i = 0;
-  for (; i + 2 <= dim; i += 2) {
-    d0 += a[i] * b[i];
-    d1 += a[i + 1] * b[i + 1];
-    a0 += a[i] * a[i];
-    a1 += a[i + 1] * a[i + 1];
-    b0 += b[i] * b[i];
-    b1 += b[i + 1] * b[i + 1];
+  for (; i + 16 <= dim; i += 16) {
+    Float8 a_lo, a_hi, b_lo, b_hi;
+    std::memcpy(&a_lo, a + i, sizeof(a_lo));
+    std::memcpy(&a_hi, a + i + 8, sizeof(a_hi));
+    std::memcpy(&b_lo, b + i, sizeof(b_lo));
+    std::memcpy(&b_hi, b + i + 8, sizeof(b_hi));
+    ab_lo += a_lo * b_lo;
+    ab_hi += a_hi * b_hi;
+    if constexpr (kNorms) {
+      aa_lo += a_lo * a_lo;
+      aa_hi += a_hi * a_hi;
+      bb_lo += b_lo * b_lo;
+      bb_hi += b_hi * b_hi;
+    }
   }
-  float d = d0 + d1, na2 = a0 + a1, nb2 = b0 + b1;
+  ProductSums s{SumLanes(ab_lo, ab_hi), SumLanes(aa_lo, aa_hi),
+                SumLanes(bb_lo, bb_hi)};
   for (; i < dim; ++i) {
-    d += a[i] * b[i];
-    na2 += a[i] * a[i];
-    nb2 += b[i] * b[i];
+    s.ab += a[i] * b[i];
+    if constexpr (kNorms) {
+      s.aa += a[i] * a[i];
+      s.bb += b[i] * b[i];
+    }
   }
-  *dot = d;
-  *na = na2;
-  *nb = nb2;
+  return s;
 }
 
 }  // namespace
 
+MBI_KERNEL_CLONES
 float AngularDistance(const float* a, const float* b, size_t dim) {
-  float dot, na, nb;
-  DotAndNorms(a, b, dim, &dot, &na, &nb);
-  float denom = std::sqrt(na * nb);
+  const ProductSums s = SumProducts<true>(a, b, dim);
+  float denom = std::sqrt(s.aa * s.bb);
   if (denom <= 0.0f) return 1.0f;
-  return 1.0f - dot / denom;
+  return 1.0f - s.ab / denom;
 }
 
+MBI_KERNEL_CLONES
 float NegativeInnerProduct(const float* a, const float* b, size_t dim) {
-  float s0 = 0, s1 = 0;
-  size_t i = 0;
-  for (; i + 2 <= dim; i += 2) {
-    s0 += a[i] * b[i];
-    s1 += a[i + 1] * b[i + 1];
-  }
-  float s = s0 + s1;
-  for (; i < dim; ++i) s += a[i] * b[i];
-  return -s;
+  return -SumProducts<false>(a, b, dim).ab;
 }
 
 DistanceFunction::DistanceFunction(Metric metric, size_t dim)

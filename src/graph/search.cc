@@ -26,10 +26,12 @@ struct SearcherMetrics {
           reg.GetCounter("mbi_search_nodes_expanded_total",
                          "candidate-pool pops whose edges were scanned"),
           reg.GetCounter("mbi_search_distance_evals_total",
-                         "distance evaluations during graph search"),
+                         "distance evaluations during graph search (a "
+                         "vertex at most once per block search)"),
           reg.GetCounter("mbi_search_pool_rejects_total",
                          "neighbors rejected by the bounded pool or the "
-                         "epsilon range restriction"),
+                         "epsilon range restriction (at most once per "
+                         "block search)"),
           reg.GetCounter("mbi_search_filter_hits_total",
                          "expanded vertices inside the query id filter"),
       };
@@ -134,9 +136,13 @@ void GraphSearcher::Search(const VectorStore& store, const KnnGraph& graph,
     }
     const size_t capacity = restrict_range ? bounded_capacity : SIZE_MAX;
     size_t min_inserted = SIZE_MAX;
+    // A neighbor is marked when scored, whether or not it enters C. Once R
+    // is full, max(R) and with it the bound only fall, so a neighbor the
+    // bound refuses would be refused at every later visit: each vertex is
+    // scored at most once, with the same results.
     for (NodeId nb : graph.Neighbors(v)) {
       if (nb == kInvalidNode) break;
-      if (queued_.Test(nb)) continue;
+      if (queued_.TestAndSet(nb)) continue;
       float d = dist(query, rows.row(static_cast<size_t>(nb)));
       ++local_stats.distance_evaluations;
       if (budgeted && !budget->ChargeDistance()) break;
@@ -144,7 +150,6 @@ void GraphSearcher::Search(const VectorStore& store, const KnnGraph& graph,
         ++local_stats.pool_rejects;
         continue;
       }
-      queued_.Set(nb);
       size_t pos = PoolInsert(d, nb, capacity);
       if (pos != SIZE_MAX) {
         min_inserted = std::min(min_inserted, pos);

@@ -108,7 +108,7 @@ class GraphSearcher {
   size_t PoolInsert(float dist, NodeId id, size_t capacity);
 
   std::vector<Candidate> pool_;
-  VisitedSet queued_;  // node ever inserted into the candidate set C
+  VisitedSet queued_;  // node ever scored (entered C or was refused)
 };
 
 }  // namespace mbi

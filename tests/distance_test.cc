@@ -1,8 +1,11 @@
 // Distance kernels: checked against naive references over many dimensions
 // (the kernels use unrolled multi-accumulator loops, so off-by-one at tail
-// handling is the risk).
+// handling is the risk), and their exact bits pinned: a result must not
+// depend on the host's vector unit or on compiler flags.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,9 +119,14 @@ TEST(DistanceTest, AngularOrthogonalIsOne) {
 }
 
 TEST(DistanceTest, AngularZeroVectorReturnsOne) {
-  std::vector<float> a = {0, 0, 0};
-  std::vector<float> b = {1, 2, 3};
-  EXPECT_FLOAT_EQ(AngularDistance(a.data(), b.data(), 3), 1.0f);
+  for (size_t dim : {3, 15, 16, 17, 128}) {
+    Rng rng(dim);
+    auto a = RandomVec(&rng, dim);
+    std::vector<float> zero(dim, 0.0f);
+    EXPECT_EQ(AngularDistance(zero.data(), a.data(), dim), 1.0f) << dim;
+    EXPECT_EQ(AngularDistance(a.data(), zero.data(), dim), 1.0f) << dim;
+    EXPECT_EQ(AngularDistance(zero.data(), zero.data(), dim), 1.0f) << dim;
+  }
 }
 
 TEST(DistanceTest, AngularScaleInvariant) {
@@ -131,21 +139,71 @@ TEST(DistanceTest, AngularScaleInvariant) {
               AngularDistance(a.data(), b2.data(), 20), 1e-4);
 }
 
+TEST(DistanceTest, InnerProductOfCorrelatedVectorsIsNegative) {
+  Rng rng(82);
+  for (size_t dim : {1, 7, 16, 33, 100}) {
+    auto a = RandomVec(&rng, dim, 0.1f, 1.0f);
+    auto b = RandomVec(&rng, dim, 0.1f, 1.0f);
+    EXPECT_LT(NegativeInnerProduct(a.data(), b.data(), dim), 0.0f) << dim;
+    EXPECT_LT(NegativeInnerProduct(a.data(), a.data(), dim), 0.0f) << dim;
+  }
+}
+
+// FNV-1a over the bit patterns of each metric's distances on seeded pairs at
+// every dim 1..64 (every tail length of the kernels' unroll) plus the
+// datasets' 100, 128 and 960. The angular and inner-product values follow
+// the kernels' one 16-lane summation order, so they are the same on every
+// x86-64 lowering (AVX2 or SSE2 clone, -march=native, -O0). A change here
+// means a kernel's summation order, or the build's FP contraction, moved.
+TEST(DistanceTest, KernelBitsArePinned) {
+  std::vector<size_t> dims;
+  for (size_t d = 1; d <= 64; ++d) dims.push_back(d);
+  dims.insert(dims.end(), {100, 128, 960});
+  const Metric metrics[] = {Metric::kL2, Metric::kAngular,
+                            Metric::kInnerProduct};
+  uint64_t digest[3] = {0xCBF29CE484222325ULL, 0xCBF29CE484222325ULL,
+                        0xCBF29CE484222325ULL};
+  for (size_t dim : dims) {
+    Rng rng(1000 + dim);
+    for (int trial = 0; trial < 8; ++trial) {
+      auto a = RandomVec(&rng, dim);
+      auto b = RandomVec(&rng, dim);
+      for (size_t m = 0; m < 3; ++m) {
+        const DistanceFunction fn(metrics[m], dim);
+        const float d = fn(a.data(), b.data());
+        digest[m] ^= std::bit_cast<uint32_t>(d);
+        digest[m] *= 0x100000001B3ULL;
+      }
+    }
+  }
+  // The L2 digest must never move: every L2 answer and scenario fingerprint
+  // depends on its loop.
+  EXPECT_EQ(digest[0], 0x9dc6d8b2c9852303ULL) << std::hex << digest[0];
+  EXPECT_EQ(digest[1], 0xf7a571ab33a81789ULL) << std::hex << digest[1];
+  EXPECT_EQ(digest[2], 0xf8bf9764c5a7682bULL) << std::hex << digest[2];
+}
+
 TEST(DistanceFunctionTest, DispatchesAllMetrics) {
+  using Kernel = float (*)(const float*, const float*, size_t);
+  const struct {
+    Metric metric;
+    Kernel kernel;
+  } cases[] = {{Metric::kL2, &L2SquaredDistance},
+               {Metric::kAngular, &AngularDistance},
+               {Metric::kInnerProduct, &NegativeInnerProduct}};
   Rng rng(81);
-  auto a = RandomVec(&rng, 24);
-  auto b = RandomVec(&rng, 24);
-  DistanceFunction l2(Metric::kL2, 24);
-  DistanceFunction ang(Metric::kAngular, 24);
-  DistanceFunction ip(Metric::kInnerProduct, 24);
-  EXPECT_FLOAT_EQ(l2(a.data(), b.data()),
-                  L2SquaredDistance(a.data(), b.data(), 24));
-  EXPECT_FLOAT_EQ(ang(a.data(), b.data()),
-                  AngularDistance(a.data(), b.data(), 24));
-  EXPECT_FLOAT_EQ(ip(a.data(), b.data()),
-                  NegativeInnerProduct(a.data(), b.data(), 24));
-  EXPECT_EQ(l2.metric(), Metric::kL2);
-  EXPECT_EQ(l2.dim(), 24u);
+  for (size_t dim : {1, 5, 16, 24, 31, 32, 100, 128, 960}) {
+    auto a = RandomVec(&rng, dim);
+    auto b = RandomVec(&rng, dim);
+    for (const auto& c : cases) {
+      const DistanceFunction fn(c.metric, dim);
+      EXPECT_EQ(std::bit_cast<uint32_t>(fn(a.data(), b.data())),
+                std::bit_cast<uint32_t>(c.kernel(a.data(), b.data(), dim)))
+          << MetricName(c.metric) << " dim " << dim;
+      EXPECT_EQ(fn.metric(), c.metric);
+      EXPECT_EQ(fn.dim(), dim);
+    }
+  }
 }
 
 TEST(MetricTest, ParseAndName) {

@@ -1,6 +1,8 @@
 // Algorithm 2 (time-filtered best-first graph search): filter correctness,
 // full-window recall vs exact scan, short-window behavior, stats.
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -234,6 +236,56 @@ TEST_P(EpsilonMetricTest, EpsilonKeepsRecallForEveryMetric) {
 INSTANTIATE_TEST_SUITE_P(AllMetrics, EpsilonMetricTest,
                          ::testing::Values(Metric::kL2, Metric::kAngular,
                                            Metric::kInnerProduct));
+
+// Each block search scores a vertex at most once: a neighbor the epsilon
+// bound refuses stays marked, so later expansions that link to it skip it.
+// Because max(R) only falls once R is full, the refused neighbor would be
+// refused again, so the answers must equal those of a search that scores
+// it at every link. The digest holds that search's answers; it scores more
+// than the 300 vertices in 46 of these 100 searches, up to 521 times.
+TEST(GraphSearcherTest, ScoresEachVertexOnceWithUnchangedResults) {
+  const size_t n = 300, dim = 16;
+  SyntheticParams gen;
+  gen.dim = dim;
+  gen.num_clusters = 12;
+  gen.seed = 42;
+  SyntheticData data = GenerateSynthetic(gen, n);
+  VectorStore store(dim, Metric::kL2);
+  ASSERT_TRUE(
+      store.AppendBatch(data.vectors.data(), data.timestamps.data(), n).ok());
+  KnnGraph graph =
+      BuildExactKnnGraph(data.vectors.data(), n, store.distance(), 16);
+  std::vector<float> queries = GenerateQueries(gen, 50);
+
+  SearchParams p;
+  p.k = 10;
+  p.max_candidates = 64;
+  const IdRange filter{100, 130};
+  GraphSearcher searcher;
+  uint64_t digest = 0xCBF29CE484222325ULL;
+  auto fold = [&digest](uint64_t x) {
+    digest ^= x;
+    digest *= 0x100000001B3ULL;
+  };
+  for (float epsilon : {1.0f, 1.4f}) {
+    p.epsilon = epsilon;
+    for (size_t qi = 0; qi < 50; ++qi) {
+      TopKHeap heap(p.k);
+      Rng rng(7);
+      SearchStats stats;
+      searcher.Search(store, graph, IdRange{0, static_cast<VectorId>(n)},
+                      queries.data() + qi * dim, p,
+                      qi % 2 == 1 ? &filter : nullptr, &rng, &heap, &stats);
+      EXPECT_LE(stats.distance_evaluations, n)
+          << "epsilon " << epsilon << " query " << qi;
+      for (const Neighbor& nb : heap.ExtractSorted()) {
+        fold(static_cast<uint64_t>(nb.id));
+        fold(std::bit_cast<uint32_t>(nb.distance));
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0x440a0544cfb3ac5aULL) << std::hex << digest;
+}
 
 TEST(GraphSearcherTest, EmptyRangeIsNoop) {
   VectorStore store(4, Metric::kL2);
