@@ -1,14 +1,19 @@
-// Kernel microbenchmarks (google-benchmark): distance functions, top-k heap,
-// candidate-pool insertion, time-range binary search, and block selection.
+// Kernel microbenchmarks (google-benchmark): distance functions in pair and
+// batch form, exact kNN-graph builds, top-k heap, candidate-pool insertion,
+// time-range binary search, and block selection.
 //
 // These are the inner loops every query touches; regressions here move every
 // figure.
+
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "core/distance.h"
 #include "core/topk.h"
 #include "core/vector_store.h"
+#include "data/dataset.h"
+#include "graph/exact_builder.h"
 #include "mbi/block_tree.h"
 #include "util/rng.h"
 
@@ -55,6 +60,47 @@ void BM_NegativeInnerProduct(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NegativeInnerProduct)->Arg(32)->Arg(100)->Arg(128)->Arg(960);
+
+// The batch form over 64 rows, as ExactScan calls it per sub-batch;
+// items are distances, so ns per item compares with the pair cases above.
+void BM_Many(benchmark::State& state, Metric metric) {
+  constexpr size_t kRows = 64;
+  const size_t dim = state.range(0);
+  auto q = RandomVec(dim, 10), data = RandomVec(kRows * dim, 11);
+  std::vector<const float*> rows(kRows);
+  for (size_t r = 0; r < kRows; ++r) rows[r] = data.data() + r * dim;
+  const DistanceFunction dist(metric, dim);
+  std::vector<float> out(kRows);
+  // mbi-lint: allow(budget-charge) — kernel microbenchmark, no budget
+  for (auto _ : state) {
+    dist.Many(q.data(), rows.data(), kRows, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK_CAPTURE(BM_Many, L2, Metric::kL2)
+    ->Arg(32)->Arg(100)->Arg(128)->Arg(960);
+BENCHMARK_CAPTURE(BM_Many, Angular, Metric::kAngular)
+    ->Arg(32)->Arg(100)->Arg(128)->Arg(960);
+BENCHMARK_CAPTURE(BM_Many, InnerProduct, Metric::kInnerProduct)
+    ->Arg(32)->Arg(100)->Arg(128)->Arg(960);
+
+// One exact kNN-graph build over sift-sim rows at the registry's degree:
+// a 1,200-row block (sharded_fanout's root size) and a 4,000-row one.
+void BM_BuildExactKnnGraph(benchmark::State& state) {
+  const size_t n = state.range(0);
+  const DatasetSpec spec = FindDatasetSpec("sift-sim");
+  const SyntheticData data = GenerateSynthetic(spec.gen, n);
+  const DistanceFunction dist(spec.metric, spec.gen.dim);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        BuildExactKnnGraph(data.vectors.data(), n, dist, spec.degree));
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_BuildExactKnnGraph)
+    ->Arg(1200)->Arg(4000)->Unit(benchmark::kMillisecond);
 
 void BM_TopKHeapPush(benchmark::State& state) {
   const size_t k = state.range(0);

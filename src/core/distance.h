@@ -35,10 +35,21 @@ float AngularDistance(const float* a, const float* b, size_t dim);
 /// Negative inner product: -<a,b>.
 float NegativeInnerProduct(const float* a, const float* b, size_t dim);
 
+/// Batch forms: out[r] = kernel(q, rows[r], dim) for every r < count, bit
+/// for bit. Rows are passed as pointers, so one batch may span the chunks
+/// of a VectorStore.
+void L2SquaredDistanceMany(const float* q, const float* const* rows,
+                           size_t count, size_t dim, float* out);
+void AngularDistanceMany(const float* q, const float* const* rows,
+                         size_t count, size_t dim, float* out);
+void NegativeInnerProductMany(const float* q, const float* const* rows,
+                              size_t count, size_t dim, float* out);
+
 /// Runtime-dispatched distance evaluator.
 ///
 /// Holds the metric and dimension so hot loops call a bare function pointer
-/// with no branches. Cheap to copy.
+/// with no branches. Cheap to copy. A default-constructed instance is L2 in
+/// both forms.
 class DistanceFunction {
  public:
   DistanceFunction() = default;
@@ -49,15 +60,25 @@ class DistanceFunction {
     return fn_(a, b, dim_);
   }
 
+  /// Scores `q` against `count` rows: out[r] == (*this)(q, rows[r]), bit for
+  /// bit.
+  void Many(const float* q, const float* const* rows, size_t count,
+            float* out) const {
+    many_(q, rows, count, dim_, out);
+  }
+
   Metric metric() const { return metric_; }
   size_t dim() const { return dim_; }
 
  private:
   using Fn = float (*)(const float*, const float*, size_t);
+  using ManyFn = void (*)(const float*, const float* const*, size_t, size_t,
+                          float*);
 
   Metric metric_ = Metric::kL2;
   size_t dim_ = 0;
   Fn fn_ = &L2SquaredDistance;
+  ManyFn many_ = &L2SquaredDistanceMany;
 };
 
 }  // namespace mbi

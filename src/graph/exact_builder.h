@@ -13,7 +13,8 @@ namespace mbi {
 
 /// Builds the exact kNN graph over `n` vectors addressed through `rows`:
 /// node v's neighbor list holds the `degree` nearest other nodes, sorted by
-/// distance. Each pair distance is computed once.
+/// distance (ties by smaller id). Each pair distance is computed once, by
+/// the batch kernel over cache-sized column tiles.
 KnnGraph BuildExactKnnGraph(const VectorSlice& rows, size_t n,
                             const DistanceFunction& dist, size_t degree);
 

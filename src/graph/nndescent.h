@@ -1,8 +1,11 @@
 // NNDescent approximate kNN-graph construction (Dong, Charikar, Li — WWW'11).
 //
-// This is the builder the paper uses for every MBI block and for the SF
-// baseline's global graph; its empirical O(n^1.14) build time underlies the
-// paper's indexing-time analysis (Section 4.4.2).
+// The paper builds every MBI block and the SF baseline's global graph with
+// NNDescent; its empirical O(n^1.14) build time underlies the paper's
+// indexing-time analysis (Section 4.4.2). Here BuildKnnGraph sends blocks of
+// at most GraphBuildParams::exact_threshold rows (4,096 by default) to the
+// exact builder instead, which is cheaper at that size and exact, so
+// NNDescent builds only the larger blocks.
 
 #ifndef MBI_GRAPH_NNDESCENT_H_
 #define MBI_GRAPH_NNDESCENT_H_
@@ -30,7 +33,7 @@ KnnGraph BuildNnDescentGraph(const VectorSlice& rows, size_t n,
                              ThreadPool* pool = nullptr);
 
 /// Dispatches to exact construction when n <= params.exact_threshold and to
-/// NNDescent otherwise. This is the builder MBI and SF call for each block.
+/// NNDescent otherwise. This is the builder MBI and SF call for each graph.
 KnnGraph BuildKnnGraph(const VectorSlice& rows, size_t n,
                        const DistanceFunction& dist,
                        const GraphBuildParams& params,

@@ -23,21 +23,25 @@ void ExactScan(const VectorStore& store, const IdRange& range,
   const DistanceFunction& dist = store.distance();
   const size_t dim = store.dim();
   size_t m = 0;  // rows actually scanned (== scan.size() when unbudgeted)
-  // Walk chunk-contiguous runs so the inner loop keeps its linear access
-  // pattern despite the chunked store. Under a budget the run is split into
-  // small sub-batches: the whole sub-batch is charged up front (one branch
-  // per kSubBatch rows instead of one per row), then scanned, so the hot
-  // loop stays tight and overshoot is bounded by kSubBatch rows.
+  // Walk chunk-contiguous runs in sub-batches of at most kSubBatch rows.
+  // Each sub-batch is charged up front (one branch per kSubBatch rows
+  // instead of one per row), so overshoot is bounded by kSubBatch rows, and
+  // then scored by one batch-kernel call and pushed in id order.
   constexpr size_t kSubBatch = 64;
+  const float* rows[kSubBatch];
+  float dists[kSubBatch];
   for (VectorId id = scan.begin; id < scan.end;) {
     const VectorStore::ContiguousRun run = store.Run(id, scan.end);
     size_t done = 0;
     while (done < run.count) {
       const size_t batch = std::min(kSubBatch, run.count - done);
       if (budgeted && !budget->ChargeDistance(batch)) break;
-      for (size_t i = done; i < done + batch; ++i) {
-        float d = dist(query, run.data + i * dim);
-        results->Push(d, id + static_cast<VectorId>(i));
+      for (size_t i = 0; i < batch; ++i) {
+        rows[i] = run.data + (done + i) * dim;
+      }
+      dist.Many(query, rows, batch, dists);
+      for (size_t i = 0; i < batch; ++i) {
+        results->Push(dists[i], id + static_cast<VectorId>(done + i));
       }
       done += batch;
     }

@@ -27,6 +27,7 @@
 
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -189,10 +190,10 @@ Status ReadVectorsInto(BinaryReader* r, uint64_t n, uint64_t dim,
   return store->AppendBatch(data.data(), timestamps.data(), n);
 }
 
-// Writes the block list of a snapshot: count, then {kind, payload} each.
+// Writes a block list: count, then {kind, payload} each.
 Status WriteBlockList(
     BinaryWriter* w,
-    const std::vector<std::shared_ptr<const BlockKnnIndex>>& blocks) {
+    std::span<const std::shared_ptr<const BlockKnnIndex>> blocks) {
   MBI_RETURN_IF_ERROR(w->Write<uint64_t>(blocks.size()));
   for (const auto& block : blocks) {
     MBI_RETURN_IF_ERROR(
@@ -398,12 +399,18 @@ Status MbiIndex::Save(const std::string& path,
         lens[1] = w->offset() - start;
         crcs[1] = w->crc();
 
-        // Section 2: the snapshot's covered bound and its blocks. Load
-        // rebuilds any blocks past covered_end deterministically.
+        // Section 2: the snapshot's covered bound and the blocks over
+        // [0, covered_end). Under ingest backpressure the snapshot may also
+        // hold built blocks past that bound (a new leaf whose parents are
+        // still pending); Load rebuilds those deterministically.
         start = w->offset();
         w->CrcReset();
         MBI_RETURN_IF_ERROR(w->Write<int64_t>(snap.covered_end));
-        MBI_RETURN_IF_ERROR(WriteBlockList(w, snap.blocks));
+        const auto covered_blocks =
+            static_cast<size_t>(BlockTreeShape::BlocksForLeaves(
+                snap.covered_end / params_.leaf_size));
+        MBI_RETURN_IF_ERROR(WriteBlockList(
+            w, std::span(snap.blocks).first(covered_blocks)));
         lens[2] = w->offset() - start;
         crcs[2] = w->crc();
 
@@ -538,6 +545,10 @@ Status MbiIo::Checkpoint(const MbiIndex& index, const std::string& dir,
   const int64_t n = static_cast<int64_t>(view.num_vectors);
   const int64_t L = index.params_.leaf_size;
   const uint64_t dim = index.store_.dim();
+  // The blocks over [0, covered). Under ingest backpressure the snapshot
+  // may also hold built blocks past it; the tail log's replay rebuilds them.
+  const auto covered_blocks =
+      static_cast<size_t>(BlockTreeShape::BlocksForLeaves(covered / L));
 
   MBI_RETURN_IF_ERROR(fs->CreateDir(dir));
   MBI_RETURN_IF_ERROR(fs->CreateDir(dir + "/segments"));
@@ -579,7 +590,7 @@ Status MbiIo::Checkpoint(const MbiIndex& index, const std::string& dir,
   }
 
   // Immutable per-block index segments.
-  for (size_t j = 0; j < snap.blocks.size(); ++j) {
+  for (size_t j = 0; j < covered_blocks; ++j) {
     const std::string path = BlkSegPath(dir, j);
     if (fs->FileExists(path)) {
       m.segments_reused->Increment();
@@ -647,7 +658,7 @@ Status MbiIo::Checkpoint(const MbiIndex& index, const std::string& dir,
                                           index.params_));
         MBI_RETURN_IF_ERROR(w->Write<int64_t>(covered));
         MBI_RETURN_IF_ERROR(w->Write<uint64_t>(static_cast<uint64_t>(n)));
-        MBI_RETURN_IF_ERROR(w->Write<uint64_t>(snap.blocks.size()));
+        MBI_RETURN_IF_ERROR(w->Write<uint64_t>(covered_blocks));
         return w->Write<uint64_t>(wal_valid_bytes);
       },
       &file_bytes));

@@ -10,17 +10,24 @@ namespace mbi {
 namespace budget_testing {
 
 namespace {
-// Process-wide injected per-distance delay (test hook). Read once per
-// tracker so an in-flight query sees a consistent value.
+// Process-wide injected per-distance delay and the virtual clock it
+// advances, if any (test hook). Read once per tracker so an in-flight query
+// sees a consistent value.
 std::atomic<int64_t> g_distance_delay_nanos{0};
+std::atomic<VirtualClock*> g_distance_delay_clock{nullptr};
 }  // namespace
 
-void SetInjectedDistanceDelayNanos(int64_t nanos) {
+void SetInjectedDistanceDelayNanos(int64_t nanos, VirtualClock* clock) {
+  g_distance_delay_clock.store(clock, std::memory_order_release);
   g_distance_delay_nanos.store(nanos, std::memory_order_release);
 }
 
 int64_t InjectedDistanceDelayNanos() {
   return g_distance_delay_nanos.load(std::memory_order_acquire);
+}
+
+VirtualClock* InjectedDistanceDelayClock() {
+  return g_distance_delay_clock.load(std::memory_order_acquire);
 }
 
 }  // namespace budget_testing
@@ -29,6 +36,7 @@ BudgetTracker::BudgetTracker(const QueryBudget* budget)
     : budget_(budget), start_nanos_(NowNanos()) {
   if (budget_ == nullptr) return;
   delay_nanos_ = budget_testing::InjectedDistanceDelayNanos();
+  delay_clock_ = budget_testing::InjectedDistanceDelayClock();
   if (!budget_->deadline.infinite()) {
     deadline_total_seconds_ = budget_->deadline.RemainingSeconds();
     if (deadline_total_seconds_ <= 0.0) {
@@ -56,15 +64,18 @@ void BudgetTracker::SlowCheck() {
 }
 
 void BudgetTracker::InjectDelay(uint64_t n) {
+  const int64_t nanos = delay_nanos_ * static_cast<int64_t>(n);
+  if (delay_clock_ != nullptr) {
+    delay_clock_->AdvanceNanos(nanos);
+    return;
+  }
   // Busy-wait: sleep granularity (~50us+) would swamp microsecond-scale
   // injected delays and make overshoot assertions meaningless. This is the
   // one sanctioned direct steady_clock read (see util/clock.h): it models
   // physical compute cost, which must pass even when logical time is frozen
   // under a VirtualClock.
   using PhysicalClock = std::chrono::steady_clock;
-  const auto until =
-      PhysicalClock::now() +
-      std::chrono::nanoseconds(delay_nanos_ * static_cast<int64_t>(n));
+  const auto until = PhysicalClock::now() + std::chrono::nanoseconds(nanos);
   while (PhysicalClock::now() < until) {
   }
 }

@@ -128,21 +128,30 @@ namespace budget_testing {
 
 /// Fault-injection hook: every ChargeDistance(n) on an *active* tracker
 /// busy-waits n * `nanos` before returning, simulating expensive distance
-/// computations (large dim, cold storage). 0 disables. Tests only.
-void SetInjectedDistanceDelayNanos(int64_t nanos);
+/// computations (large dim, cold storage). With a `clock` the delay instead
+/// advances that VirtualClock (install it as the global clock too), so a
+/// deadline test measures the same virtual time on every run. 0 disables.
+/// Tests only.
+void SetInjectedDistanceDelayNanos(int64_t nanos,
+                                   VirtualClock* clock = nullptr);
 int64_t InjectedDistanceDelayNanos();
+VirtualClock* InjectedDistanceDelayClock();
 
-/// RAII guard restoring the previous injected delay.
+/// RAII guard restoring the previous injected delay and clock.
 class ScopedDistanceDelay {
  public:
-  explicit ScopedDistanceDelay(int64_t nanos)
-      : previous_(InjectedDistanceDelayNanos()) {
-    SetInjectedDistanceDelayNanos(nanos);
+  explicit ScopedDistanceDelay(int64_t nanos, VirtualClock* clock = nullptr)
+      : previous_(InjectedDistanceDelayNanos()),
+        previous_clock_(InjectedDistanceDelayClock()) {
+    SetInjectedDistanceDelayNanos(nanos, clock);
   }
-  ~ScopedDistanceDelay() { SetInjectedDistanceDelayNanos(previous_); }
+  ~ScopedDistanceDelay() {
+    SetInjectedDistanceDelayNanos(previous_, previous_clock_);
+  }
 
  private:
   int64_t previous_;
+  VirtualClock* previous_clock_;
 };
 
 }  // namespace budget_testing
@@ -229,6 +238,7 @@ class BudgetTracker {
   uint64_t since_check_ = 0;
   uint64_t check_interval_ = 64;
   int64_t delay_nanos_ = 0;
+  VirtualClock* delay_clock_ = nullptr;  // advanced instead of busy-waiting
   bool exhausted_ = false;
   DegradeReason reason_ = DegradeReason::kNone;
   double deadline_total_seconds_ = 0.0;  // <= 0 when no deadline

@@ -15,8 +15,9 @@
 // the rest of the suite.
 //
 // Direct steady_clock reads are still legitimate in exactly one place:
-// simulating real compute cost (budget_testing::InjectDelay busy-waits on
-// the physical clock — virtual time would never pass). Anything else is a
+// simulating real compute cost (budget_testing's injected distance delay
+// busy-waits on the physical clock — virtual time would never pass — unless
+// it is given a VirtualClock to advance instead). Anything else is a
 // determinism leak; scripts/lint_invariants.py flags new ones.
 
 #ifndef MBI_UTIL_CLOCK_H_

@@ -18,6 +18,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "util/budget.h"
+#include "util/clock.h"
 #include "util/timer.h"
 
 namespace mbi {
@@ -241,6 +242,41 @@ TEST_F(BudgetSearchTest, DeadlineOvershootIsBounded) {
   }
   std::sort(elapsed.begin(), elapsed.end());
   const double p99 = elapsed[static_cast<size_t>(elapsed.size() * 99 / 100)];
+  EXPECT_LE(p99, kDeadline * kMaxOvershoot)
+      << "p99 overshoot " << p99 / kDeadline << "x";
+}
+
+// The same bound on virtual time. The injected delay advances an installed
+// VirtualClock instead of busy-waiting, so a query's elapsed time is exactly
+// its charged distance evaluations times 20 us: no preempted thread can
+// overshoot, and every run gives the same verdict. The wall-clock case
+// above keeps the physical bound; ctest runs this binary alone (RUN_SERIAL)
+// because that bound assumes an idle host.
+TEST_F(BudgetSearchTest, DeadlineOvershootIsBoundedOnVirtualTime) {
+  VirtualClock clock(1'000'000'000);
+  ScopedClockOverride virtual_time(&clock);
+  QueryContext ctx;
+  SearchParams sp;
+  sp.k = 10;
+  const double kDeadline = 1e-3;
+  const double kMaxOvershoot = 5.0;  // the wall-clock case's bound
+  budget_testing::ScopedDistanceDelay delay(20000, &clock);  // 20 us per eval
+
+  const TimeWindow w = Window(0, kN - 1);
+  std::vector<double> elapsed;
+  for (int rep = 0; rep < 50; ++rep) {
+    QueryBudget budget = QueryBudget::WithDeadline(kDeadline);
+    sp.budget = &budget;
+    const int64_t start = clock.NowNanos();
+    SearchResult r = index_->Search(data_.vector(rep % 100), w, sp, &ctx);
+    elapsed.push_back(static_cast<double>(clock.NowNanos() - start) * 1e-9);
+    EXPECT_EQ(r.completion, Completion::kDegraded);
+    EXPECT_EQ(r.degrade_reason, DegradeReason::kDeadlineExceeded);
+    ExpectValidNeighbors(r, w, data_.vector(rep % 100));
+  }
+  std::sort(elapsed.begin(), elapsed.end());
+  const double p99 = elapsed[static_cast<size_t>(elapsed.size() * 99 / 100)];
+  EXPECT_GE(elapsed.front(), kDeadline);  // time only passes by charging
   EXPECT_LE(p99, kDeadline * kMaxOvershoot)
       << "p99 overshoot " << p99 / kDeadline << "x";
 }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/distance.h"
+#include "core/vector_store.h"
 #include "util/rng.h"
 
 namespace mbi {
@@ -126,6 +127,16 @@ TEST(DistanceTest, AngularZeroVectorReturnsOne) {
     EXPECT_EQ(AngularDistance(zero.data(), a.data(), dim), 1.0f) << dim;
     EXPECT_EQ(AngularDistance(a.data(), zero.data(), dim), 1.0f) << dim;
     EXPECT_EQ(AngularDistance(zero.data(), zero.data(), dim), 1.0f) << dim;
+    // The batch form: a zero query against a zero and a non-zero row, and a
+    // non-zero query against a zero row.
+    const DistanceFunction fn(Metric::kAngular, dim);
+    const float* rows[2] = {zero.data(), a.data()};
+    float out[2];
+    fn.Many(zero.data(), rows, 2, out);
+    EXPECT_EQ(out[0], 1.0f) << dim;
+    EXPECT_EQ(out[1], 1.0f) << dim;
+    fn.Many(a.data(), rows, 1, out);
+    EXPECT_EQ(out[0], 1.0f) << dim;
   }
 }
 
@@ -151,10 +162,10 @@ TEST(DistanceTest, InnerProductOfCorrelatedVectorsIsNegative) {
 
 // FNV-1a over the bit patterns of each metric's distances on seeded pairs at
 // every dim 1..64 (every tail length of the kernels' unroll) plus the
-// datasets' 100, 128 and 960. The angular and inner-product values follow
-// the kernels' one 16-lane summation order, so they are the same on every
-// x86-64 lowering (AVX2 or SSE2 clone, -march=native, -O0). A change here
-// means a kernel's summation order, or the build's FP contraction, moved.
+// datasets' 100, 128 and 960. Every value follows the kernels' one 16-lane
+// summation order, so it is the same on every x86-64 lowering (AVX2 or SSE2
+// clone, -march=native, -O0). A change here means a kernel's summation
+// order, or the build's FP contraction, moved.
 TEST(DistanceTest, KernelBitsArePinned) {
   std::vector<size_t> dims;
   for (size_t d = 1; d <= 64; ++d) dims.push_back(d);
@@ -176,9 +187,8 @@ TEST(DistanceTest, KernelBitsArePinned) {
       }
     }
   }
-  // The L2 digest must never move: every L2 answer and scenario fingerprint
-  // depends on its loop.
-  EXPECT_EQ(digest[0], 0x9dc6d8b2c9852303ULL) << std::hex << digest[0];
+  // Every L2 answer and scenario fingerprint depends on the L2 digest.
+  EXPECT_EQ(digest[0], 0x48caca5320369640ULL) << std::hex << digest[0];
   EXPECT_EQ(digest[1], 0xf7a571ab33a81789ULL) << std::hex << digest[1];
   EXPECT_EQ(digest[2], 0xf8bf9764c5a7682bULL) << std::hex << digest[2];
 }
@@ -202,6 +212,55 @@ TEST(DistanceFunctionTest, DispatchesAllMetrics) {
           << MetricName(c.metric) << " dim " << dim;
       EXPECT_EQ(fn.metric(), c.metric);
       EXPECT_EQ(fn.dim(), dim);
+    }
+  }
+  // The default instance is L2 (dim 0) in both forms: +0, where inner
+  // product would give -0 and angular 1.
+  const DistanceFunction l2;
+  EXPECT_EQ(l2.metric(), Metric::kL2);
+  const float x = 0.5f;
+  const float* row = &x;
+  float out = -1.0f;
+  l2.Many(&x, &row, 1, &out);
+  EXPECT_EQ(std::bit_cast<uint32_t>(out), 0u);
+  EXPECT_EQ(std::bit_cast<uint32_t>(l2(&x, &x)), 0u);
+
+  // The batch form scores q against each row with exactly the pair
+  // kernel's bits, for every tail length of the row blocks (counts 0-9) and
+  // of the lane loop (dims 1-64). Rows come from a store of 8-row chunks
+  // starting mid-chunk, so every batch of more than three rows straddles a
+  // chunk boundary.
+  std::vector<size_t> dims;
+  for (size_t d = 1; d <= 64; ++d) dims.push_back(d);
+  dims.insert(dims.end(), {100, 128, 960});
+  constexpr VectorId kFirst = 5;
+  constexpr size_t kMaxCount = 64;
+  for (size_t dim : dims) {
+    Rng row_rng(2000 + dim);
+    VectorStore store(dim, Metric::kL2, /*chunk_capacity=*/8);
+    for (size_t i = 0; i < kFirst + kMaxCount; ++i) {
+      auto v = RandomVec(&row_rng, dim);
+      ASSERT_TRUE(store.Append(v.data(), static_cast<Timestamp>(i)).ok());
+    }
+    std::vector<const float*> rows(kMaxCount);
+    for (size_t r = 0; r < kMaxCount; ++r) {
+      rows[r] = store.GetVector(kFirst + static_cast<VectorId>(r));
+    }
+    auto q = RandomVec(&row_rng, dim);
+    for (Metric metric :
+         {Metric::kL2, Metric::kAngular, Metric::kInnerProduct}) {
+      const DistanceFunction fn(metric, dim);
+      for (size_t count : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64}) {
+        std::vector<float> batch(count + 1, -7.0f);
+        fn.Many(q.data(), rows.data(), count, batch.data());
+        for (size_t r = 0; r < count; ++r) {
+          EXPECT_EQ(std::bit_cast<uint32_t>(batch[r]),
+                    std::bit_cast<uint32_t>(fn(q.data(), rows[r])))
+              << MetricName(metric) << " dim " << dim << " count " << count
+              << " row " << r;
+        }
+        EXPECT_EQ(batch[count], -7.0f) << "wrote past count " << count;
+      }
     }
   }
 }

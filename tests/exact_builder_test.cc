@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/distance.h"
+#include "core/vector_store.h"
 #include "graph/exact_builder.h"
 #include "util/rng.h"
 
@@ -50,6 +51,42 @@ TEST(ExactBuilderTest, MatchesNaiveOnRandomData) {
     ASSERT_EQ(g.NeighborCount(static_cast<NodeId>(v)), k);
     for (size_t s = 0; s < k; ++s) {
       EXPECT_EQ(nb[s], naive[v][s]) << "node " << v << " slot " << s;
+    }
+  }
+}
+
+// Larger than two of the builder's 256-row column tiles, read from a store
+// of 256-row chunks through a slice that starts mid-chunk, so tiles and
+// chunks cut the rows at different places. Every row is present three
+// times, 234 ids apart, so equal distances straddle tile boundaries and the
+// graph is right only if ties resolve by smaller id, as in NaiveKnn.
+TEST(ExactBuilderTest, TiledStoreSliceMatchesNaiveWithTies) {
+  const size_t n = 702, dim = 16, k = 10, distinct = 234, offset = 100;
+  const auto base = RandomData(distinct, dim, 77);
+  std::vector<float> data(n * dim);
+  for (size_t i = 0; i < n; ++i) {
+    std::copy_n(base.begin() + (i % distinct) * dim, dim,
+                data.begin() + i * dim);
+  }
+  for (Metric metric :
+       {Metric::kL2, Metric::kAngular, Metric::kInnerProduct}) {
+    VectorStore store(dim, metric, /*chunk_capacity=*/256);
+    for (size_t i = 0; i < offset; ++i) {
+      ASSERT_TRUE(store.Append(base.data(), 0).ok());
+    }
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(store.Append(data.data() + i * dim, 0).ok());
+    }
+    const DistanceFunction& dist = store.distance();
+    KnnGraph g = BuildExactKnnGraph(
+        VectorSlice(store, static_cast<VectorId>(offset)), n, dist, k);
+    auto naive = NaiveKnn(data, n, dist, k);
+    for (size_t v = 0; v < n; ++v) {
+      auto nb = g.Neighbors(static_cast<NodeId>(v));
+      for (size_t s = 0; s < k; ++s) {
+        ASSERT_EQ(nb[s], naive[v][s])
+            << MetricName(metric) << " node " << v << " slot " << s;
+      }
     }
   }
 }

@@ -1,6 +1,7 @@
 // MbiIndex serialization: round-trip fidelity and corruption handling.
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include <unistd.h>
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "graph/exact_builder.h"
 #include "index/graph_block_index.h"
 #include "mbi/mbi_index.h"
 
@@ -94,6 +96,88 @@ TEST(MbiIoTest, LoadedIndexAnswersQueriesIdentically) {
     }
   }
   std::remove(path.c_str());
+}
+
+// Load and Recover rebuild the blocks a snapshot had not yet covered with
+// the GraphBuildParams stored in the file, not with today's defaults. This
+// index uses exact_threshold = 1024, the default before 4,096, so its
+// 2,048-row root is an NNDescent graph; the saved and checkpointed copies
+// are taken while that root is still pending and must rebuild it the same.
+TEST(MbiIoTest, StoredBuildParamsSurviveSaveLoadAndCheckpointRecover) {
+  constexpr size_t kDim = 8, kN = 2048;
+  SyntheticParams gen;
+  gen.dim = kDim;
+  gen.seed = 29;
+  SyntheticData data = GenerateSynthetic(gen, kN);
+  MbiParams p;
+  p.leaf_size = 512;
+  p.tau = 0.4;
+  p.build.degree = 10;
+  p.build.exact_threshold = 1024;
+  p.build.rho = 0.5;
+  p.build.delta = 0.002;
+  p.build.max_iterations = 9;
+  p.build.seed = 77;
+  p.max_blocks_per_add = 1;  // the last Add leaves two blocks pending
+  MbiIndex original(kDim, Metric::kL2, p);
+  ASSERT_TRUE(
+      original.AddBatch(data.vectors.data(), data.timestamps.data(), kN)
+          .ok());
+  ASSERT_EQ(original.pending_builds(), 2u);
+  const std::string path = TempPath("mbi_params.idx");
+  const std::string dir = TempPath("mbi_params_ckpt");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(original.Save(path).ok());
+  ASSERT_TRUE(original.Checkpoint(dir).ok());
+  original.FinishPendingBuilds();
+
+  auto loaded_result = MbiIndex::Load(path);
+  ASSERT_TRUE(loaded_result.ok()) << loaded_result.status().ToString();
+  auto recovered_result = MbiIndex::Recover(dir);
+  ASSERT_TRUE(recovered_result.ok()) << recovered_result.status().ToString();
+  const std::unique_ptr<MbiIndex> loaded = std::move(loaded_result).value();
+  const std::unique_ptr<MbiIndex> recovered =
+      std::move(recovered_result).value();
+  recovered->FinishPendingBuilds();
+
+  // The root really is NNDescent's: a rebuild under the 4,096 default
+  // would have given the exact graph.
+  const size_t root = original.num_blocks() - 1;
+  const KnnGraph& root_graph =
+      static_cast<const GraphBlockIndex&>(original.block(root)).graph();
+  const KnnGraph exact_root =
+      BuildExactKnnGraph(VectorSlice(original.store(), 0), kN,
+                         original.store().distance(), p.build.degree);
+  EXPECT_FALSE(root_graph == exact_root);
+
+  std::vector<float> queries = GenerateQueries(gen, 8);
+  SearchParams sp;
+  sp.k = 10;
+  for (const MbiIndex* copy : {loaded.get(), recovered.get()}) {
+    const GraphBuildParams& b = copy->params().build;
+    EXPECT_EQ(b.degree, p.build.degree);
+    EXPECT_EQ(b.exact_threshold, 1024u);
+    EXPECT_EQ(b.rho, p.build.rho);
+    EXPECT_EQ(b.delta, p.build.delta);
+    EXPECT_EQ(b.max_iterations, p.build.max_iterations);
+    EXPECT_EQ(b.seed, p.build.seed);
+    ASSERT_EQ(copy->num_blocks(), original.num_blocks());
+    for (size_t i = 0; i < original.num_blocks(); ++i) {
+      EXPECT_TRUE(
+          static_cast<const GraphBlockIndex&>(copy->block(i)).graph() ==
+          static_cast<const GraphBlockIndex&>(original.block(i)).graph())
+          << "block " << i;
+    }
+    for (TimeWindow w : {TimeWindow{0, 2048}, TimeWindow{300, 1900}}) {
+      for (size_t qi = 0; qi < 8; ++qi) {
+        QueryContext ctx_a(42), ctx_b(42);
+        EXPECT_EQ(original.Search(queries.data() + qi * kDim, w, sp, &ctx_a),
+                  copy->Search(queries.data() + qi * kDim, w, sp, &ctx_b));
+      }
+    }
+  }
+  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MbiIoTest, PartialLeafSurvivesRoundTrip) {

@@ -146,11 +146,11 @@ TEST(DeterministicReplay, SameSeedBitIdenticalAcrossCatalog) {
 // something different, bit for bit; say which events moved when updating.
 TEST(DeterministicReplay, SingleIndexFingerprintsArePinned) {
   const std::vector<std::pair<std::string, uint32_t>> pinned = {
-      {"steady_state_soak", 0x48af6b6au},
-      {"market_open_burst", 0xaf4dd3d7u},
-      {"crash_during_cascade", 0xae527b7au},
-      {"overload_storm", 0xcb974158u},
-      {"recover_then_requery", 0x28f59dd3u},
+      {"steady_state_soak", 0x6138d8c0u},
+      {"market_open_burst", 0xe8ed324fu},
+      {"crash_during_cascade", 0xd974539bu},
+      {"overload_storm", 0x1a302c63u},
+      {"recover_then_requery", 0x092ffa68u},
   };
   RunOptions opts;
   opts.mode = RunMode::kDeterministic;

@@ -23,10 +23,10 @@ Check catalog (rule names double as waiver keys):
                       pointer-keyed unordered containers under std::hash<T*>
 
   budget-charge — src/ (minus util/, eval/, data/) and bench/:
-    a loop body that calls a distance kernel (core/distance.h entry points or
-    DistanceFunction::operator()) must, on some path through the loop, charge
-    a BudgetTracker — directly (ChargeDistance/ChargeHop/CheckNow) or by
-    passing a BudgetTracker*/& into a callee. New search paths cannot
+    a loop body that calls a distance kernel (core/distance.h entry points,
+    DistanceFunction::operator() or ::Many) must, on some path through the
+    loop, charge a BudgetTracker — directly (ChargeDistance/ChargeHop/
+    CheckNow) or by passing a BudgetTracker*/& into a callee. New search paths cannot
     silently escape the PR-4 deadline machinery.
 
   status-flow — everywhere:
@@ -141,8 +141,11 @@ UNORDERED_PTR_CONTAINERS = ("std::unordered_map<", "std::unordered_set<",
                             "std::unordered_multiset<")
 DISTANCE_KERNELS = frozenset({
     "mbi::L2SquaredDistance", "mbi::AngularDistance",
-    "mbi::NegativeInnerProduct",
+    "mbi::NegativeInnerProduct", "mbi::L2SquaredDistanceMany",
+    "mbi::AngularDistanceMany", "mbi::NegativeInnerProductMany",
 })
+# DistanceFunction members that score: the pair form and the batch form.
+DISTANCE_MEMBERS = frozenset({"operator()", "Many"})
 CHARGE_METHODS = frozenset({"ChargeDistance", "ChargeHop", "CheckNow"})
 MUTATING_METHODS = frozenset({
     "push_back", "emplace_back", "pop_back", "clear", "insert", "emplace",
@@ -716,7 +719,7 @@ class TuAnalysis:
             if name in CHARGE_METHODS and (
                     "BudgetTracker" in qname or "BudgetTracker" in var_type):
                 self._mark_loops("has_charge")
-            if name == "operator()" and "DistanceFunction" in qname:
+            if name in DISTANCE_MEMBERS and "DistanceFunction" in qname:
                 self._mark_loops("has_dist")
             if self._charge_via_args(node):
                 self._mark_loops("has_charge")

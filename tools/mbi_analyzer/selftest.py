@@ -369,6 +369,40 @@ def unit_walker_amortized():
           "(got %s)" % got)
 
 
+def unit_walker_batch_kernel():
+    """DistanceFunction::Many scores rows as the pair form does: a loop
+    around it with no charge is a budget-charge finding."""
+    V = _vpath()
+    many_call = {
+        "kind": "CXXMemberCallExpr",
+        "range": {"begin": {"line": 62}, "end": {}},
+        "inner": [{"kind": "MemberExpr", "name": "Many",
+                   "referencedMemberDecl": "0x601",
+                   "inner": [{"kind": "DeclRefExpr", "referencedDecl": {
+                       "id": "0x602", "kind": "VarDecl", "name": "dist",
+                       "type": {"qualType":
+                                "const mbi::DistanceFunction"}}}]}]}
+    tu = {"kind": "TranslationUnitDecl", "inner": [
+        {"kind": "NamespaceDecl", "name": "mbi", "inner": [
+            {"kind": "CXXRecordDecl", "name": "DistanceFunction",
+             "completeDefinition": True, "id": "0x600", "inner": [
+                 {"kind": "CXXMethodDecl", "id": "0x601", "name": "Many"}]}]},
+        {"kind": "FunctionDecl", "id": "0x610", "name": "H",
+         "loc": {"file": V, "line": 60}, "inner": [
+             {"kind": "CompoundStmt", "inner": [
+                 {"kind": "ForStmt",
+                  "range": {"begin": {"line": 61}, "end": {"line": 63}},
+                  "inner": [{"kind": "CompoundStmt",
+                             "inner": [many_call]}]}]}]},
+    ]}
+    ta = mba.TuAnalysis(mba.REPO)
+    ta.walk(tu)
+    got = [(f.line, f.rule) for f in ta.findings]
+    check(got == [(61, "budget-charge")],
+          "an uncharged loop around DistanceFunction::Many is reported "
+          "(got %s)" % got)
+
+
 def run_unit():
     unit_scoping()
     unit_type_parsing()
@@ -378,6 +412,7 @@ def run_unit():
     unit_walker()
     unit_walker_charged()
     unit_walker_amortized()
+    unit_walker_batch_kernel()
 
 
 # ---------------------------------------------------------------------------
