@@ -1,9 +1,9 @@
-// Ablation: per-block index choice (NNDescent graph vs. HNSW vs. flat scan).
+// Ablation: per-block index choice (kNN graph vs. flat scan).
 //
 // The paper notes MBI can wrap any kNN index per block (Section 4.1). This
-// ablation quantifies the choices: flat blocks make MBI exact but O(m) per
-// query; NNDescent-graph blocks (the paper) and HNSW blocks cost build time
-// and memory but answer in ~O(log m + k).
+// ablation quantifies the choice: flat blocks make MBI exact but O(m) per
+// query; kNN-graph blocks (the paper) cost build time and memory but answer
+// in ~O(log m + k).
 
 #include "bench_common.h"
 
@@ -31,22 +31,13 @@ int main() {
                                     ds.train.timestamps.data(), ds.size()));
   const double flat_build = t.ElapsedSeconds();
 
-  MbiParams hnsw_params = flat_params;
-  hnsw_params.block_kind = BlockIndexKind::kHnsw;
-  t.Restart();
-  auto hnsw_index = std::make_unique<MbiIndex>(ds.dim, ds.metric, hnsw_params);
-  MBI_CHECK_OK(hnsw_index->AddBatch(ds.train.vectors.data(),
-                                    ds.train.timestamps.data(), ds.size()));
-  const double hnsw_build = t.ElapsedSeconds();
-
-  std::printf("build time : graph %.2fs, hnsw %.2fs, flat %.2fs\n",
-              graph_build, hnsw_build, flat_build);
-  std::printf("index bytes: graph %s, hnsw %s, flat %s\n",
+  std::printf("build time : graph %.2fs, flat %.2fs\n", graph_build,
+              flat_build);
+  std::printf("index bytes: graph %s, flat %s\n",
               FormatBytes(graph_index->GetStats().index_bytes).c_str(),
-              FormatBytes(hnsw_index->GetStats().index_bytes).c_str(),
               FormatBytes(flat_index->GetStats().index_bytes).c_str());
 
-  TablePrinter table({"fraction", "graph qps", "hnsw qps", "flat qps (exact)",
+  TablePrinter table({"fraction", "graph qps", "flat qps (exact)",
                       "graph/flat"});
   for (double fraction : WindowFractions()) {
     auto workload = MakeWindowWorkload(
@@ -56,7 +47,6 @@ int main() {
                                     workload, k);
 
     QpsAtRecall graph_q = MeasureMbi(*graph_index, ds, workload, truth, k);
-    QpsAtRecall hnsw_q = MeasureMbi(*hnsw_index, ds, workload, truth, k);
 
     QueryContext ctx(11);
     SearchParams sp = ds.search;
@@ -68,7 +58,7 @@ int main() {
     const double flat_qps = workload.size() / qt.ElapsedSeconds();
 
     table.AddRow({FormatFloat(fraction * 100, 0) + "%", FormatQps(graph_q),
-                  FormatQps(hnsw_q), FormatFloat(flat_qps, 1),
+                  FormatFloat(flat_qps, 1),
                   FormatFloat(graph_q.qps / flat_qps, 2) + "x"});
   }
   table.Print();

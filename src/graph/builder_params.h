@@ -18,7 +18,7 @@ struct GraphBuildParams {
   /// is the cheaper of the two for every (d, K) the repo builds (d 32-960,
   /// K 16-32), and its graph is the exact one; the crossover lies between
   /// 4k and 6k rows at K = 16 and above 8k rows at K >= 20 (DESIGN.md §3).
-  /// Saved and checkpointed indexes keep the value they were built with.
+  /// Checkpointed indexes keep the value they were built with.
   size_t exact_threshold = 4096;
 
   /// NNDescent sampling rate rho: each iteration joins up to rho * degree

@@ -2,7 +2,6 @@
 
 #include "index/flat_block_index.h"
 #include "index/graph_block_index.h"
-#include "index/hnsw_block_index.h"
 #include "util/check.h"
 
 namespace mbi {
@@ -11,7 +10,6 @@ const char* BlockIndexKindName(BlockIndexKind kind) {
   switch (kind) {
     case BlockIndexKind::kGraph: return "graph";
     case BlockIndexKind::kFlat: return "flat";
-    case BlockIndexKind::kHnsw: return "hnsw";
   }
   return "unknown";
 }
@@ -26,8 +24,6 @@ std::unique_ptr<BlockKnnIndex> BuildBlockIndex(BlockIndexKind kind,
       return std::make_unique<GraphBlockIndex>(store, range, params, pool);
     case BlockIndexKind::kFlat:
       return std::make_unique<FlatBlockIndex>(range);
-    case BlockIndexKind::kHnsw:
-      return std::make_unique<HnswBlockIndex>(store, range, params, pool);
   }
   MBI_CHECK(false);
   return nullptr;
@@ -39,8 +35,6 @@ std::unique_ptr<BlockKnnIndex> MakeEmptyBlockIndex(BlockIndexKind kind) {
       return std::make_unique<GraphBlockIndex>();
     case BlockIndexKind::kFlat:
       return std::make_unique<FlatBlockIndex>();
-    case BlockIndexKind::kHnsw:
-      return std::make_unique<HnswBlockIndex>();
   }
   MBI_CHECK(false);
   return nullptr;

@@ -30,8 +30,12 @@ class BinaryWriter;
 enum class BlockIndexKind : uint32_t {
   kGraph = 0,  ///< NNDescent kNN graph + Algorithm 2 search (the paper)
   kFlat = 1,   ///< exact scan (no build cost; O(m) queries) — ablation
-  kHnsw = 2,   ///< hierarchical navigable small world graph — alternative
 };
+
+/// The number of BlockIndexKind values; every stored kind is checked
+/// against it before use. A stored value at or past it (2 named a graph
+/// kind that no longer exists) is corruption, never a kind to build.
+inline constexpr uint32_t kNumBlockIndexKinds = 2;
 
 const char* BlockIndexKindName(BlockIndexKind kind);
 

@@ -325,11 +325,9 @@ void MbiIndex::PublishSnapshot() {
 }
 
 void MbiIndex::InstallBlocks(
-    std::vector<std::shared_ptr<const BlockKnnIndex>> blocks,
-    bool build_pending) {
+    std::vector<std::shared_ptr<const BlockKnnIndex>> blocks) {
   MutexLock lock(writer_mu_);
   blocks_ = std::move(blocks);
-  if (build_pending) BuildPendingBlocks();
   PublishSnapshot();
 }
 

@@ -147,9 +147,9 @@ struct ReadView {
 /// writer and vice versa; each query pins a ReadView and sees the committed
 /// prefix it describes. The writer side serializes on an internal mutex and
 /// every writer-side field is MBI_GUARDED_BY it, so the contract is checked
-/// at compile time under Clang -Wthread-safety. Save/Checkpoint work off a
-/// pinned ReadView and are safe during live ingest; Load/Recover construct a
-/// fresh index and need no synchronization.
+/// at compile time under Clang -Wthread-safety. Checkpoint works off a
+/// pinned ReadView and is safe during live ingest; Recover constructs a
+/// fresh index and needs no synchronization.
 class MbiIndex {
  public:
   /// Creates an empty index for `dim`-dimensional vectors under `metric`.
@@ -292,32 +292,22 @@ class MbiIndex {
 
   MbiStats GetStats() const;
 
-  /// Serialization to a single file (format MBIX0002): a sectioned layout
-  /// with per-section CRC32C checksums, published atomically via
-  /// tmp + fsync + rename so a crash mid-Save leaves any previous file
-  /// intact. Safe to call from a reader thread during live ingest: the
-  /// written state is a pinned ReadView (committed prefix + its blocks).
-  /// `fs` (POSIX when null) exists for fault-injection tests.
-  Status Save(const std::string& path,
-              persist::FileSystem* fs = nullptr) const;
-
-  /// Loads an index previously written by Save (format MBIX0002; any other
-  /// magic is rejected with kDataLoss). Every length field is validated
-  /// against the remaining file size before allocation and every section
-  /// checksum is verified, so corruption yields a clean non-OK Status (never
-  /// a crash, OOM or silently wrong index). Blocks the saved snapshot had not
-  /// yet covered are rebuilt deterministically.
-  static Result<std::unique_ptr<MbiIndex>> Load(
-      const std::string& path, persist::FileSystem* fs = nullptr);
-
-  /// Incremental crash-safe checkpoint into directory `dir`. Immutable
-  /// per-leaf vector segments and per-block index segments are written once
-  /// (atomically) and reused by later checkpoints; the committed tail beyond
-  /// the covered prefix goes to an append-only CRC-framed log; a framed
-  /// MANIFEST published by atomic rename commits the whole checkpoint.
-  /// A crash at any byte leaves the directory recoverable to either the
-  /// previous or the new checkpoint state. Safe during live ingest (works
-  /// off a pinned ReadView).
+  /// Incremental crash-safe checkpoint into directory `dir`, the only way
+  /// to persist an index. Immutable per-leaf vector segments and per-block
+  /// index segments are written once (atomically) and reused by later
+  /// checkpoints; the committed tail beyond the covered prefix goes to an
+  /// append-only CRC-framed log; a framed MANIFEST published by atomic
+  /// rename commits the whole checkpoint. A crash at any byte leaves the
+  /// directory recoverable to either the previous or the new checkpoint
+  /// state. Safe during live ingest (works off a pinned ReadView). `fs`
+  /// (POSIX when null) exists for fault-injection tests.
+  ///
+  /// Directory contract: `dir` must be absent, empty, or hold a checkpoint
+  /// written by this index or by the index it was recovered from.
+  /// Checkpoint never overwrites: a segment file already in `dir` is reused
+  /// as it is, matched by file name only, so checkpointing into another
+  /// index's directory returns OK and Recover then yields that other
+  /// index's rows. To start over, empty `dir` first.
   Status Checkpoint(const std::string& dir,
                     persist::FileSystem* fs = nullptr) const;
 
@@ -345,11 +335,10 @@ class MbiIndex {
   // refreshes the process-wide index gauges.
   void PublishSnapshot() MBI_REQUIRES(writer_mu_);
 
-  // Installs the block list read by MbiIo (Load/Recover) and publishes the
-  // first snapshot; with `build_pending` the blocks the saved snapshot had
-  // not yet covered are rebuilt deterministically.
-  void InstallBlocks(std::vector<std::shared_ptr<const BlockKnnIndex>> blocks,
-                     bool build_pending) MBI_EXCLUDES(writer_mu_);
+  // Installs the block list read by MbiIo (Recover) and publishes the first
+  // snapshot.
+  void InstallBlocks(std::vector<std::shared_ptr<const BlockKnnIndex>> blocks)
+      MBI_EXCLUDES(writer_mu_);
 
   // Algorithm 4 selection against an explicit (covered_end, num_vectors)
   // view: tree selection over the covered prefix plus the committed tail

@@ -1,4 +1,4 @@
-// Binary (de)serialization streams used by index save/load.
+// Binary (de)serialization streams used by checkpoint files.
 //
 // The on-disk format is little-endian native-width POD; these helpers add
 // error propagation and convenience methods for vectors and strings. Both

@@ -124,8 +124,7 @@ TEST_P(BlockIndexTest, SaveLoadPreservesSearchBehavior) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, BlockIndexTest,
                          ::testing::Values(BlockIndexKind::kGraph,
-                                           BlockIndexKind::kFlat,
-                                           BlockIndexKind::kHnsw),
+                                           BlockIndexKind::kFlat),
                          [](const auto& param_info) {
                            return BlockIndexKindName(param_info.param);
                          });

@@ -1,5 +1,5 @@
 // Budget enforcement: deadlines, work caps, cancellation, and graceful
-// degradation across every search path (MBI, BSBF, SF, flat/graph/HNSW
+// degradation across every search path (MBI, BSBF, SF, flat/graph
 // blocks). The deadline-overshoot assertions use the injected per-distance
 // delay hook so a 1 ms deadline is meaningfully exceeded only if the budget
 // checks are broken.
@@ -389,35 +389,6 @@ TEST_F(BudgetSearchTest, SfHonorsBudget) {
   sp.budget = nullptr;
   SearchResult full = sf.Search(data_.vector(0), w, sp, &ctx);
   EXPECT_EQ(full.completion, Completion::kComplete);
-}
-
-// HNSW blocks run the same budget plumbing through a different searcher.
-TEST(BudgetHnswTest, HnswBlocksHonorDistanceBudget) {
-  constexpr size_t kN = 2000;
-  constexpr size_t kDim = 12;
-  SyntheticParams gen;
-  gen.dim = kDim;
-  gen.seed = 31;
-  SyntheticData data = GenerateSynthetic(gen, kN);
-
-  MbiParams p;
-  p.leaf_size = 256;
-  p.block_kind = BlockIndexKind::kHnsw;
-  MbiIndex index(kDim, Metric::kL2, p);
-  ASSERT_TRUE(
-      index.AddBatch(data.vectors.data(), data.timestamps.data(), kN).ok());
-
-  QueryContext ctx;
-  SearchParams sp;
-  sp.k = 5;
-  QueryBudget budget;
-  budget.max_distance_evals = 40;
-  sp.budget = &budget;
-  SearchResult r = index.Search(
-      data.vector(0), TimeWindow{data.timestamps[0], data.timestamps[kN - 1]},
-      sp, &ctx);
-  EXPECT_EQ(r.completion, Completion::kDegraded);
-  EXPECT_EQ(r.degrade_reason, DegradeReason::kDistanceBudget);
 }
 
 }  // namespace

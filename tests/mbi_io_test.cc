@@ -1,10 +1,9 @@
-// MbiIndex serialization: round-trip fidelity and corruption handling.
+// MbiIndex persistence through Checkpoint/Recover: round-trip fidelity of
+// rows, timestamps, params and block graphs. Corruption handling lives in
+// persist_test.
 
-#include <cstdio>
 #include <filesystem>
 #include <string>
-
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -16,34 +15,37 @@
 namespace mbi {
 namespace {
 
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+// A fresh checkpoint directory: Checkpoint reuses any segment already
+// there, so every test starts from an absent one.
+std::string FreshDir(const char* name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
 }
 
-std::unique_ptr<MbiIndex> BuildSample(size_t n, Metric metric = Metric::kL2) {
+std::unique_ptr<MbiIndex> BuildSample(size_t n) {
   SyntheticParams gen;
   gen.dim = 8;
   gen.seed = 13;
-  gen.normalize = metric == Metric::kAngular;
   SyntheticData data = GenerateSynthetic(gen, n);
   MbiParams p;
   p.leaf_size = 16;
   p.tau = 0.4;
   p.build.degree = 8;
   p.build.exact_threshold = 1 << 20;
-  auto index = std::make_unique<MbiIndex>(8, metric, p);
+  auto index = std::make_unique<MbiIndex>(8, Metric::kL2, p);
   MBI_CHECK_OK(
       index->AddBatch(data.vectors.data(), data.timestamps.data(), n));
   return index;
 }
 
 TEST(MbiIoTest, RoundTripPreservesEverything) {
-  std::unique_ptr<MbiIndex> original_ptr = BuildSample(150);
+  std::unique_ptr<MbiIndex> original_ptr = BuildSample(150);  // tail of 6
   MbiIndex& original = *original_ptr;
-  std::string path = TempPath("mbi_roundtrip.idx");
-  ASSERT_TRUE(original.Save(path).ok());
+  const std::string dir = FreshDir("mbi_roundtrip");
+  ASSERT_TRUE(original.Checkpoint(dir).ok());
 
-  auto loaded_result = MbiIndex::Load(path);
+  auto loaded_result = MbiIndex::Recover(dir);
   ASSERT_TRUE(loaded_result.ok()) << loaded_result.status().ToString();
   std::unique_ptr<MbiIndex> loaded = std::move(loaded_result).value();
 
@@ -53,6 +55,10 @@ TEST(MbiIoTest, RoundTripPreservesEverything) {
   EXPECT_DOUBLE_EQ(loaded->params().tau, original.params().tau);
   EXPECT_EQ(loaded->store().metric(), original.store().metric());
   EXPECT_EQ(loaded->store().dim(), original.store().dim());
+  EXPECT_EQ(loaded->params().block_kind, original.params().block_kind);
+  EXPECT_EQ(loaded->params().build.degree, original.params().build.degree);
+  EXPECT_EQ(loaded->params().build.exact_threshold,
+            original.params().build.exact_threshold);
 
   for (size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(loaded->store().GetTimestamp(i), original.store().GetTimestamp(i));
@@ -67,43 +73,15 @@ TEST(MbiIoTest, RoundTripPreservesEverything) {
     EXPECT_EQ(ga.range(), gb.range());
     EXPECT_TRUE(ga.graph() == gb.graph());
   }
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
-TEST(MbiIoTest, LoadedIndexAnswersQueriesIdentically) {
-  std::unique_ptr<MbiIndex> original_ptr = BuildSample(200, Metric::kAngular);
-  MbiIndex& original = *original_ptr;
-  std::string path = TempPath("mbi_query.idx");
-  ASSERT_TRUE(original.Save(path).ok());
-  auto loaded = std::move(MbiIndex::Load(path)).value();
-
-  SyntheticParams gen;
-  gen.dim = 8;
-  gen.seed = 13;
-  gen.normalize = true;
-  auto queries = GenerateQueries(gen, 5);
-
-  SearchParams sp;
-  sp.k = 5;
-  sp.max_candidates = 32;
-  for (TimeWindow w : {TimeWindow{0, 200}, TimeWindow{50, 120}}) {
-    for (size_t qi = 0; qi < 5; ++qi) {
-      // Same seeds -> identical random entry points -> identical traversal.
-      QueryContext ctx_a(42), ctx_b(42);
-      SearchResult a = original.Search(queries.data() + qi * 8, w, sp, &ctx_a);
-      SearchResult b = loaded->Search(queries.data() + qi * 8, w, sp, &ctx_b);
-      EXPECT_EQ(a, b);
-    }
-  }
-  std::remove(path.c_str());
-}
-
-// Load and Recover rebuild the blocks a snapshot had not yet covered with
-// the GraphBuildParams stored in the file, not with today's defaults. This
+// Recover rebuilds the blocks a checkpoint had not yet covered with the
+// GraphBuildParams stored in its manifest, not with today's defaults. This
 // index uses exact_threshold = 1024, the default before 4,096, so its
-// 2,048-row root is an NNDescent graph; the saved and checkpointed copies
-// are taken while that root is still pending and must rebuild it the same.
-TEST(MbiIoTest, StoredBuildParamsSurviveSaveLoadAndCheckpointRecover) {
+// 2,048-row root is an NNDescent graph; the checkpointed copy is taken while
+// that root is still pending and must rebuild it the same.
+TEST(MbiIoTest, StoredBuildParamsSurviveCheckpointRecover) {
   constexpr size_t kDim = 8, kN = 2048;
   SyntheticParams gen;
   gen.dim = kDim;
@@ -124,18 +102,12 @@ TEST(MbiIoTest, StoredBuildParamsSurviveSaveLoadAndCheckpointRecover) {
       original.AddBatch(data.vectors.data(), data.timestamps.data(), kN)
           .ok());
   ASSERT_EQ(original.pending_builds(), 2u);
-  const std::string path = TempPath("mbi_params.idx");
-  const std::string dir = TempPath("mbi_params_ckpt");
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(original.Save(path).ok());
+  const std::string dir = FreshDir("mbi_params_ckpt");
   ASSERT_TRUE(original.Checkpoint(dir).ok());
   original.FinishPendingBuilds();
 
-  auto loaded_result = MbiIndex::Load(path);
-  ASSERT_TRUE(loaded_result.ok()) << loaded_result.status().ToString();
   auto recovered_result = MbiIndex::Recover(dir);
   ASSERT_TRUE(recovered_result.ok()) << recovered_result.status().ToString();
-  const std::unique_ptr<MbiIndex> loaded = std::move(loaded_result).value();
   const std::unique_ptr<MbiIndex> recovered =
       std::move(recovered_result).value();
   recovered->FinishPendingBuilds();
@@ -153,93 +125,47 @@ TEST(MbiIoTest, StoredBuildParamsSurviveSaveLoadAndCheckpointRecover) {
   std::vector<float> queries = GenerateQueries(gen, 8);
   SearchParams sp;
   sp.k = 10;
-  for (const MbiIndex* copy : {loaded.get(), recovered.get()}) {
-    const GraphBuildParams& b = copy->params().build;
-    EXPECT_EQ(b.degree, p.build.degree);
-    EXPECT_EQ(b.exact_threshold, 1024u);
-    EXPECT_EQ(b.rho, p.build.rho);
-    EXPECT_EQ(b.delta, p.build.delta);
-    EXPECT_EQ(b.max_iterations, p.build.max_iterations);
-    EXPECT_EQ(b.seed, p.build.seed);
-    ASSERT_EQ(copy->num_blocks(), original.num_blocks());
-    for (size_t i = 0; i < original.num_blocks(); ++i) {
-      EXPECT_TRUE(
-          static_cast<const GraphBlockIndex&>(copy->block(i)).graph() ==
-          static_cast<const GraphBlockIndex&>(original.block(i)).graph())
-          << "block " << i;
-    }
-    for (TimeWindow w : {TimeWindow{0, 2048}, TimeWindow{300, 1900}}) {
-      for (size_t qi = 0; qi < 8; ++qi) {
-        QueryContext ctx_a(42), ctx_b(42);
-        EXPECT_EQ(original.Search(queries.data() + qi * kDim, w, sp, &ctx_a),
-                  copy->Search(queries.data() + qi * kDim, w, sp, &ctx_b));
-      }
+  const GraphBuildParams& b = recovered->params().build;
+  EXPECT_EQ(b.degree, p.build.degree);
+  EXPECT_EQ(b.exact_threshold, 1024u);
+  EXPECT_EQ(b.rho, p.build.rho);
+  EXPECT_EQ(b.delta, p.build.delta);
+  EXPECT_EQ(b.max_iterations, p.build.max_iterations);
+  EXPECT_EQ(b.seed, p.build.seed);
+  ASSERT_EQ(recovered->num_blocks(), original.num_blocks());
+  for (size_t i = 0; i < original.num_blocks(); ++i) {
+    EXPECT_TRUE(
+        static_cast<const GraphBlockIndex&>(recovered->block(i)).graph() ==
+        static_cast<const GraphBlockIndex&>(original.block(i)).graph())
+        << "block " << i;
+  }
+  for (TimeWindow w : {TimeWindow{0, 2048}, TimeWindow{300, 1900}}) {
+    for (size_t qi = 0; qi < 8; ++qi) {
+      QueryContext ctx_a(42), ctx_b(42);
+      EXPECT_EQ(original.Search(queries.data() + qi * kDim, w, sp, &ctx_a),
+                recovered->Search(queries.data() + qi * kDim, w, sp, &ctx_b));
     }
   }
-  std::remove(path.c_str());
   std::filesystem::remove_all(dir);
 }
 
-TEST(MbiIoTest, PartialLeafSurvivesRoundTrip) {
-  std::unique_ptr<MbiIndex> original_ptr = BuildSample(77);  // 4 full + partial
-  MbiIndex& original = *original_ptr;
-  std::string path = TempPath("mbi_partial.idx");
-  ASSERT_TRUE(original.Save(path).ok());
-  auto loaded = std::move(MbiIndex::Load(path)).value();
-  EXPECT_EQ(loaded->size(), 77u);
-  EXPECT_EQ(loaded->num_blocks(), original.num_blocks());
-  // A window inside the tail must be searched exactly.
-  QueryContext ctx;
-  SearchParams sp;
-  sp.k = 3;
-  MbiQueryStats stats;
-  loaded->Search(loaded->store().GetVector(70), TimeWindow{70, 77}, sp, &ctx,
-                 &stats);
-  EXPECT_EQ(stats.exact_blocks, 1u);
-}
-
-TEST(MbiIoTest, LoadRejectsGarbage) {
-  std::string path = TempPath("mbi_garbage.idx");
-  FILE* f = fopen(path.c_str(), "wb");
-  fputs("this is not an index", f);
-  fclose(f);
-  auto result = MbiIndex::Load(path);
+TEST(MbiIoTest, RecoverRejectsMissingDirectory) {
+  auto result = MbiIndex::Recover("/nonexistent/mbi_ckpt");
   EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-  std::remove(path.c_str());
-}
-
-TEST(MbiIoTest, LoadRejectsMissingFile) {
-  auto result = MbiIndex::Load("/nonexistent/mbi.idx");
-  EXPECT_FALSE(result.ok());
-}
-
-TEST(MbiIoTest, LoadRejectsTruncatedFile) {
-  std::unique_ptr<MbiIndex> original_ptr = BuildSample(100);
-  MbiIndex& original = *original_ptr;
-  std::string path = TempPath("mbi_trunc.idx");
-  ASSERT_TRUE(original.Save(path).ok());
-  // Truncate to half.
-  FILE* f = fopen(path.c_str(), "rb");
-  fseek(f, 0, SEEK_END);
-  long size = ftell(f);
-  fclose(f);
-  ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
-  auto result = MbiIndex::Load(path);
-  EXPECT_FALSE(result.ok());
-  std::remove(path.c_str());
 }
 
 TEST(MbiIoTest, EmptyIndexRoundTrips) {
   MbiParams p;
   p.leaf_size = 8;
   MbiIndex original(4, Metric::kL2, p);
-  std::string path = TempPath("mbi_empty.idx");
-  ASSERT_TRUE(original.Save(path).ok());
-  auto loaded = std::move(MbiIndex::Load(path)).value();
-  EXPECT_EQ(loaded->size(), 0u);
-  EXPECT_EQ(loaded->num_blocks(), 0u);
-  std::remove(path.c_str());
+  const std::string dir = FreshDir("mbi_empty");
+  ASSERT_TRUE(original.Checkpoint(dir).ok());
+  auto loaded = MbiIndex::Recover(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value()->size(), 0u);
+  EXPECT_EQ(loaded.value()->num_blocks(), 0u);
+  EXPECT_EQ(loaded.value()->params().leaf_size, 8);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -238,12 +238,14 @@ TEST_F(OverloadFixture, ConcurrentCancellationStress) {
   p.build.exact_threshold = 512;
   auto index = MakeIndex(p, kN);
 
+  constexpr size_t kReaders = 4;
   CancellationToken token;
   std::atomic<bool> stop{false};
   std::atomic<size_t> completed{0}, cancelled{0}, poisoned{0};
+  std::atomic<size_t> readers_started{0};  // readers that ran a query
 
   std::vector<std::thread> readers;  // mbi-lint: allow(naked-thread) — stresses SWMR from raw threads
-  for (int t = 0; t < 4; ++t) {
+  for (size_t t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       QueryContext ctx(t + 7);
       SearchParams sp;
@@ -252,7 +254,8 @@ TEST_F(OverloadFixture, ConcurrentCancellationStress) {
       budget.cancellation = &token;
       sp.budget = &budget;
       const TimeWindow w{data_.timestamps[0], data_.timestamps[kN - 1]};
-      while (!stop.load(std::memory_order_acquire)) {
+      bool counted = false;
+      do {
         SearchResult r =
             index->Search(queries_.data() + (t % 16) * kDim, w, sp, &ctx);
         if (r.degraded()) {
@@ -270,15 +273,24 @@ TEST_F(OverloadFixture, ConcurrentCancellationStress) {
             poisoned.fetch_add(1);
           }
         }
-      }
+        if (!counted) {
+          counted = true;
+          readers_started.fetch_add(1, std::memory_order_release);
+        }
+      } while (!stop.load(std::memory_order_acquire));
     });
   }
 
   // Canceller: flip the shared token on and off while queries run. Reset()
   // is documented as only safe with no query in flight under the *same*
   // token for result interpretation, but the flag itself is an atomic —
-  // this stress is about data races and partial-result validity.
-  for (int burst = 0; burst < 200; ++burst) {
+  // this stress is about data races and partial-result validity. It keeps
+  // bursting until every reader has run a query, so slow thread start-up
+  // (sanitizer builds) cannot end the bursts before any query ran.
+  for (int burst = 0;
+       burst < 200 ||
+       readers_started.load(std::memory_order_acquire) < kReaders;
+       ++burst) {
     token.Cancel();
     std::this_thread::yield();
     token.Reset();

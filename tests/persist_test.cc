@@ -1,8 +1,8 @@
 // Persistence torture tests: CRC32C, the file abstraction, fault injection,
 // framed/atomic files, the tail log, and the crash-consistency property of
-// MbiIndex::Save/Load/Checkpoint/Recover — truncation at every byte offset
-// and every injected fault must yield either a bit-exact searchable index or
-// a clean non-OK Status. Never a crash, an OOM or a silently wrong answer.
+// MbiIndex::Checkpoint/Recover — truncation at every byte offset and every
+// injected fault must yield either a bit-exact searchable index or a clean
+// non-OK Status. Never a crash, an OOM or a silently wrong answer.
 //
 // Sweeps run with a stride by default; set MBI_TORTURE_EXHAUSTIVE=1 (the CI
 // persistence-torture job does) to test every single byte offset.
@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -472,160 +473,6 @@ TEST(FaultScheduleTest, NoCrashPlansWhenDisallowed) {
 }
 
 // ---------------------------------------------------------------------------
-// Save / Load
-
-TEST(PersistSaveLoadTest, RoundTripAllKindsAndMetrics) {
-  for (BlockIndexKind kind : {BlockIndexKind::kGraph, BlockIndexKind::kFlat,
-                              BlockIndexKind::kHnsw}) {
-    for (Metric metric :
-         {Metric::kL2, Metric::kAngular, Metric::kInnerProduct}) {
-      auto index = BuildIndex(60, kind, metric);
-      const std::string path = TempPath("persist_rt.idx");
-      ASSERT_TRUE(index->Save(path).ok());
-      auto loaded = MbiIndex::Load(path);
-      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-      EXPECT_EQ(loaded.value()->params().block_kind, kind);
-      EXPECT_EQ(loaded.value()->store().metric(), metric);
-      EXPECT_TRUE(SameAnswers(*index, *loaded.value()))
-          << "kind " << static_cast<int>(kind) << " metric "
-          << static_cast<int>(metric);
-      std::remove(path.c_str());
-    }
-  }
-}
-
-TEST(PersistSaveLoadTest, BitFlipSweepNeverReturnsWrongAnswers) {
-  auto index = BuildIndex(48);
-  const std::string path = TempPath("persist_flip.idx");
-  ASSERT_TRUE(index->Save(path).ok());
-  const std::string bytes = ReadFileBytes(path);
-
-  for (size_t i = 0; i < bytes.size(); i += SweepStride(1)) {
-    std::string mutated = bytes;
-    mutated[i] ^= 0xFF;
-    WriteFileBytes(path, mutated);
-    auto loaded = MbiIndex::Load(path);
-    if (loaded.ok()) {
-      // A benign byte would have to survive the section CRCs — it cannot,
-      // but the contract is: if Load accepts, answers must be identical.
-      EXPECT_TRUE(SameAnswers(*index, *loaded.value())) << "flipped " << i;
-    } else {
-      const StatusCode code = loaded.status().code();
-      EXPECT_TRUE(code == StatusCode::kDataLoss ||
-                  code == StatusCode::kIoError ||
-                  code == StatusCode::kInvalidArgument ||
-                  code == StatusCode::kFailedPrecondition)
-          << "flipped " << i << ": " << loaded.status().ToString();
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(PersistSaveLoadTest, TruncationSweepFailsCleanlyAtEveryOffset) {
-  auto index = BuildIndex(48);
-  const std::string path = TempPath("persist_trunc.idx");
-  ASSERT_TRUE(index->Save(path).ok());
-  const std::string bytes = ReadFileBytes(path);
-
-  for (size_t cut = 0; cut < bytes.size(); cut += SweepStride(1)) {
-    WriteFileBytes(path, bytes.substr(0, cut));
-    auto loaded = MbiIndex::Load(path);
-    EXPECT_FALSE(loaded.ok()) << "truncated at " << cut;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(PersistSaveLoadTest, CrashDuringSaveLeavesOldOrNewState) {
-  auto old_index = BuildIndex(40);
-  auto new_index = BuildIndex(64);
-  const std::string path = TempPath("persist_crash_save.idx");
-  FaultInjectingFileSystem fs(FileSystem::Posix());
-
-  fs.SetPlan(FaultPlan{});
-  ASSERT_TRUE(new_index->Save(path, &fs).ok());
-  const uint64_t total_bytes = fs.bytes_written();
-
-  for (uint64_t t = 0; t <= total_bytes; t += SweepStride(41)) {
-    fs.SetPlan(FaultPlan{});
-    ASSERT_TRUE(old_index->Save(path, &fs).ok());
-    FaultPlan plan;
-    plan.write_fault = FaultPlan::WriteFault::kCrash;
-    plan.trigger_bytes = t;
-    fs.SetPlan(plan);
-    ASSERT_TRUE(new_index->Save(path, &fs).ok());  // the zombie reports OK
-
-    // "Reboot": load whatever is on disk with the real file system.
-    auto loaded = MbiIndex::Load(path);
-    ASSERT_TRUE(loaded.ok()) << "crash at byte " << t << ": "
-                             << loaded.status().ToString();
-    EXPECT_TRUE(SameAnswers(*old_index, *loaded.value()) ||
-                SameAnswers(*new_index, *loaded.value()))
-        << "crash at byte " << t;
-  }
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
-}
-
-TEST(PersistSaveLoadTest, WriteFaultsDuringSavePreserveOldFile) {
-  auto old_index = BuildIndex(40);
-  auto new_index = BuildIndex(64);
-  const std::string path = TempPath("persist_fault_save.idx");
-  FaultInjectingFileSystem fs(FileSystem::Posix());
-  ASSERT_TRUE(old_index->Save(path, &fs).ok());
-  fs.SetPlan(FaultPlan{});  // reset the byte counter before measuring
-  ASSERT_TRUE(new_index->Save(TempPath("persist_fault_save_probe.idx"), &fs)
-                  .ok());
-  const uint64_t total_bytes = fs.bytes_written();
-
-  for (auto fault : {FaultPlan::WriteFault::kShortWrite,
-                     FaultPlan::WriteFault::kEio,
-                     FaultPlan::WriteFault::kDiskFull}) {
-    for (uint64_t t = 0; t < total_bytes; t += SweepStride(97)) {
-      FaultPlan plan;
-      plan.write_fault = fault;
-      plan.trigger_bytes = t;
-      fs.SetPlan(plan);
-      EXPECT_FALSE(new_index->Save(path, &fs).ok());
-      fs.SetPlan(FaultPlan{});
-      EXPECT_FALSE(fs.FileExists(path + ".tmp"));
-      auto loaded = MbiIndex::Load(path);
-      ASSERT_TRUE(loaded.ok());
-      EXPECT_TRUE(SameAnswers(*old_index, *loaded.value()));
-    }
-  }
-  // One-shot flush/sync/close/rename failures behave the same way.
-  for (int which = 0; which < 4; ++which) {
-    FaultPlan plan;
-    if (which == 0) plan.fail_flush = true;
-    if (which == 1) plan.fail_sync = true;
-    if (which == 2) plan.fail_close = true;
-    if (which == 3) plan.fail_rename = true;
-    fs.SetPlan(plan);
-    EXPECT_FALSE(new_index->Save(path, &fs).ok()) << "fault " << which;
-    fs.SetPlan(FaultPlan{});
-    EXPECT_FALSE(fs.FileExists(path + ".tmp"));
-    auto loaded = MbiIndex::Load(path);
-    ASSERT_TRUE(loaded.ok());
-    EXPECT_TRUE(SameAnswers(*old_index, *loaded.value()));
-  }
-  std::remove(path.c_str());
-  std::remove(TempPath("persist_fault_save_probe.idx").c_str());
-}
-
-TEST(PersistSaveLoadTest, LoadChecksReadCloseBeforePublishing) {
-  auto index = BuildIndex(48);
-  const std::string path = TempPath("persist_read_close.idx");
-  ASSERT_TRUE(index->Save(path).ok());
-  FaultInjectingFileSystem fs(FileSystem::Posix());
-  FaultPlan plan;
-  plan.fail_read_close = true;
-  fs.SetPlan(plan);
-  auto loaded = MbiIndex::Load(path, &fs);
-  EXPECT_FALSE(loaded.ok());
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
 // Checkpoint / Recover
 
 TEST(PersistCheckpointTest, RoundTripWithCommittedTail) {
@@ -639,6 +486,27 @@ TEST(PersistCheckpointTest, RoundTripWithCommittedTail) {
   EXPECT_EQ(recovered.value()->num_blocks(), index->num_blocks());
   EXPECT_TRUE(SameAnswers(*index, *recovered.value()));
   stdfs::remove_all(dir);
+}
+
+TEST(PersistCheckpointTest, RoundTripAllKindsAndMetrics) {
+  for (BlockIndexKind kind : {BlockIndexKind::kGraph, BlockIndexKind::kFlat}) {
+    for (Metric metric :
+         {Metric::kL2, Metric::kAngular, Metric::kInnerProduct}) {
+      auto index = BuildIndex(60, kind, metric);  // covered 56, tail 4
+      const std::string dir = TempPath("persist_ckpt_kinds");
+      stdfs::remove_all(dir);
+      ASSERT_TRUE(index->Checkpoint(dir).ok());
+      auto recovered = MbiIndex::Recover(dir);
+      ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+      EXPECT_EQ(recovered.value()->params().block_kind, kind);
+      EXPECT_EQ(recovered.value()->store().metric(), metric);
+      EXPECT_EQ(recovered.value()->num_blocks(), index->num_blocks());
+      EXPECT_TRUE(SameAnswers(*index, *recovered.value()))
+          << "kind " << BlockIndexKindName(kind) << " metric "
+          << static_cast<int>(metric);
+      stdfs::remove_all(dir);
+    }
+  }
 }
 
 TEST(PersistCheckpointTest, SecondCheckpointReusesSegments) {
@@ -761,6 +629,151 @@ TEST(PersistCheckpointTest, CrashSweepDuringCheckpointRecoversOldOrNew) {
                 SameAnswers(ref2, *recovered.value()))
         << "crash at byte " << t << " recovered neither checkpoint state";
   }
+  stdfs::remove_all(dir);
+}
+
+// A second checkpoint under each write fault fails, leaves no .tmp file
+// behind, and Recover yields the first or the second state. Growing 36 -> 60
+// rows advances the covered bound (new segments, a fresh tail log); growing
+// 36 -> 39 does not, so the tail log is appended before the manifest rename,
+// and a failed rename leaves the appended rows recoverable.
+TEST(PersistCheckpointTest, WriteFaultsDuringCheckpointRecoverOldOrNew) {
+  SyntheticParams gen;
+  gen.dim = kDim;
+  gen.seed = 21;
+  SyntheticData data = GenerateSynthetic(gen, 60);
+  MbiParams p;
+  p.leaf_size = 8;
+  p.build.degree = 4;
+  p.build.seed = 5;
+  const auto build = [&](size_t n) {
+    auto index = std::make_unique<MbiIndex>(kDim, Metric::kL2, p);
+    MBI_CHECK_OK(
+        index->AddBatch(data.vectors.data(), data.timestamps.data(), n));
+    return index;
+  };
+  const std::unique_ptr<MbiIndex> first = build(36);  // covered 32, tail 4
+
+  const std::string dir = TempPath("persist_ckpt_fault");
+  FaultInjectingFileSystem fs(FileSystem::Posix());
+  // Checkpoints `first` into an emptied dir, then `grown` under `plan`.
+  const auto checkpoint_under = [&](const MbiIndex& grown,
+                                    const FaultPlan& plan) {
+    stdfs::remove_all(dir);
+    MBI_CHECK_OK(first->Checkpoint(dir));
+    fs.SetPlan(plan);
+    const Status s = grown.Checkpoint(dir, &fs);
+    fs.SetPlan(FaultPlan{});
+    return s;
+  };
+  const auto tmp_files = [&] {
+    size_t count = 0;
+    for (const auto& entry : stdfs::recursive_directory_iterator(dir)) {
+      count += entry.path().extension() == ".tmp";
+    }
+    return count;
+  };
+
+  for (size_t grown_rows : {size_t{60}, size_t{39}}) {
+    std::unique_ptr<MbiIndex> grown = build(36);
+    ASSERT_TRUE(grown
+                    ->AddBatch(data.vectors.data() + 36 * kDim,
+                               data.timestamps.data() + 36, grown_rows - 36)
+                    .ok());
+    ASSERT_TRUE(checkpoint_under(*grown, FaultPlan{}).ok());
+    const uint64_t total_bytes = fs.bytes_written();
+
+    std::vector<std::pair<std::string, FaultPlan>> plans;
+    for (const auto& [name, flag] :
+         {std::pair{"fail_flush", &FaultPlan::fail_flush},
+          std::pair{"fail_sync", &FaultPlan::fail_sync},
+          std::pair{"fail_close", &FaultPlan::fail_close},
+          std::pair{"fail_rename", &FaultPlan::fail_rename}}) {
+      FaultPlan plan;
+      plan.*flag = true;
+      plans.emplace_back(name, plan);
+    }
+    for (const auto& [name, fault] :
+         {std::pair{"short write", FaultPlan::WriteFault::kShortWrite},
+          std::pair{"EIO", FaultPlan::WriteFault::kEio},
+          std::pair{"disk full", FaultPlan::WriteFault::kDiskFull}}) {
+      for (uint64_t t = 0; t < total_bytes; t += SweepStride(97)) {
+        FaultPlan plan;
+        plan.write_fault = fault;
+        plan.trigger_bytes = t;
+        plans.emplace_back(std::string(name) + " at byte " + std::to_string(t),
+                           plan);
+      }
+    }
+    for (const auto& [fault_name, plan] : plans) {
+      const std::string label =
+          std::to_string(grown_rows) + " rows, " + fault_name;
+      EXPECT_FALSE(checkpoint_under(*grown, plan).ok()) << label;
+      EXPECT_EQ(tmp_files(), 0u) << label;
+      auto recovered = MbiIndex::Recover(dir);
+      ASSERT_TRUE(recovered.ok())
+          << label << ": " << recovered.status().ToString();
+      const bool old_state = SameAnswers(*first, *recovered.value());
+      const bool new_state = SameAnswers(*grown, *recovered.value());
+      EXPECT_TRUE(old_state || new_state) << label;
+      if (plan.fail_rename && grown_rows == 39) {
+        EXPECT_TRUE(new_state) << label;  // the appended tail log survives
+      }
+    }
+  }
+  stdfs::remove_all(dir);
+}
+
+TEST(PersistCheckpointTest, RecoverChecksReadCloseBeforePublishing) {
+  auto index = BuildIndex(48);
+  const std::string dir = TempPath("persist_ckpt_read_close");
+  stdfs::remove_all(dir);
+  ASSERT_TRUE(index->Checkpoint(dir).ok());
+  FaultInjectingFileSystem fs(FileSystem::Posix());
+  FaultPlan plan;
+  plan.fail_read_close = true;
+  fs.SetPlan(plan);
+  auto recovered = MbiIndex::Recover(dir, &fs);
+  EXPECT_FALSE(recovered.ok());
+  stdfs::remove_all(dir);
+}
+
+// A stored block kind at or past kNumBlockIndexKinds is corruption, whether
+// the manifest's params or a block segment names it: Recover returns
+// kDataLoss and never reaches MakeEmptyBlockIndex with it. Kind 2 is what a
+// checkpoint of a since-removed graph block kind holds.
+TEST(PersistCheckpointTest, UnknownStoredBlockKindIsDataLoss) {
+  auto index = BuildIndex(52);
+  const std::string dir = TempPath("persist_ckpt_kind");
+  stdfs::remove_all(dir);
+  ASSERT_TRUE(index->Checkpoint(dir).ok());
+
+  // Framed file: [8B magic][u64 len][u32 crc][payload]. The manifest payload
+  // opens with dim (u64), metric (u32), leaf_size (i64) and tau (f64), then
+  // the block kind (u32); a block segment's payload opens with the kind.
+  constexpr size_t kCrcOffset = 16;
+  constexpr size_t kPayloadOffset = 20;
+  const std::pair<std::string, size_t> targets[] = {
+      {dir + "/MANIFEST", 28}, {dir + "/segments/blk-0.seg", 0}};
+  for (const auto& [target, kind_offset] : targets) {
+    const std::string bytes = ReadFileBytes(target);
+    for (uint32_t kind : {kNumBlockIndexKinds, uint32_t{0xFFFFFFFF}}) {
+      std::string mutated = bytes;
+      std::memcpy(&mutated[kPayloadOffset + kind_offset], &kind, sizeof(kind));
+      const uint32_t crc = persist::Crc32c(mutated.data() + kPayloadOffset,
+                                           mutated.size() - kPayloadOffset);
+      std::memcpy(&mutated[kCrcOffset], &crc, sizeof(crc));
+      WriteFileBytes(target, mutated);
+      auto recovered = MbiIndex::Recover(dir);
+      EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss)
+          << target << " kind " << kind << ": "
+          << recovered.status().ToString();
+    }
+    WriteFileBytes(target, bytes);
+  }
+  auto sane = MbiIndex::Recover(dir);
+  ASSERT_TRUE(sane.ok()) << sane.status().ToString();
+  EXPECT_TRUE(SameAnswers(*index, *sane.value()));
   stdfs::remove_all(dir);
 }
 
