@@ -46,9 +46,9 @@ int main() {
         sp.k = k;
         sp.epsilon = eps;
         MbiQueryStats stats;
-        SearchResult r = index->SearchWithTau(ds.test_query(wq.query_index),
-                                              wq.window, sp, policy.tau, &ctx,
-                                              &stats);
+        SearchResult r = index->SearchView(
+            index->AcquireReadView(), ds.test_query(wq.query_index),
+            wq.window, sp, policy.tau, &ctx, &stats);
         blocks += stats.blocks_searched;
         evals += stats.search.distance_evaluations;
         ++samples;

@@ -107,7 +107,8 @@ int main() {
   }
 
   // Contrast: same query without a time restriction.
-  SearchResult all = index.SearchAll(query_photo.data(), search, &ctx);
+  SearchResult all =
+      index.Search(query_photo.data(), TimeWindow::All(), search, &ctx);
   std::printf("\nwithout time restriction the best match is photo #%" PRId64
               " taken %s (distance %.3f)\n",
               all[0].id, FormatDate(index.store().GetTimestamp(all[0].id)).c_str(),

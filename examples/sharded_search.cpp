@@ -98,7 +98,6 @@ int main() {
   ShardedMbiParams params;
   params.shard_span = kSpan;
   params.shard.leaf_size = 256;
-  params.enable_hedging = true;
   params.hedge_delay_seconds = 0.005;
   params.backoff.max_retries = 2;
   params.backoff.initial_seconds = 0.001;

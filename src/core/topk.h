@@ -22,16 +22,20 @@ class TopKHeap {
   explicit TopKHeap(size_t k) : k_(k) { MBI_CHECK(k > 0); heap_.reserve(k); }
 
   /// Offers a candidate; keeps it only if it is among the k nearest so far.
-  /// Returns true if the candidate was kept.
+  /// Returns true if the candidate was kept. The heap keeps the k smallest
+  /// (distance, id) pairs (Neighbor::operator<), so a tie at the k-th
+  /// distance goes to the smaller id and the contents do not depend on the
+  /// order of the offers.
   bool Push(float distance, VectorId id) {
+    const Neighbor nb{distance, id};
     if (heap_.size() < k_) {
-      heap_.push_back({distance, id});
+      heap_.push_back(nb);
       std::push_heap(heap_.begin(), heap_.end());
       return true;
     }
-    if (!(distance < heap_.front().distance)) return false;
+    if (!(nb < heap_.front())) return false;
     std::pop_heap(heap_.begin(), heap_.end());
-    heap_.back() = {distance, id};
+    heap_.back() = nb;
     std::push_heap(heap_.begin(), heap_.end());
     return true;
   }

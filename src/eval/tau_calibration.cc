@@ -65,7 +65,8 @@ TauPolicy CalibrateTau(const MbiIndex& index, const float* queries,
     for (double tau : taus) {
       WallTimer timer;
       for (size_t i = 0; i < workload.size(); ++i) {
-        results[i] = index.SearchWithTau(
+        results[i] = index.SearchView(
+            index.AcquireReadView(),
             queries + workload[i].query_index * index.store().dim(),
             workload[i].window, search, tau, &ctx);
       }

@@ -121,7 +121,7 @@ Status MbiParams::Validate() const {
   if (num_threads < 1) {
     return Status::InvalidArgument("num_threads must be >= 1");
   }
-  if (shed_retry_after_seconds < 0.0) {
+  if (!(shed_retry_after_seconds >= 0.0)) {
     return Status::InvalidArgument(
         "shed_retry_after_seconds must be >= 0");
   }
@@ -345,26 +345,10 @@ ReadView MbiIndex::AcquireReadView() const {
 }
 
 std::vector<SelectedBlock> MbiIndex::SelectSearchBlocks(
-    const TimeWindow& window) const {
-  return SelectSearchBlocks(window, params_.tau);
-}
-
-std::vector<SelectedBlock> MbiIndex::SelectSearchBlocks(
-    const TimeWindow& window, double tau) const {
-  return SelectSearchBlocksForRange(store_.FindRange(window), tau);
-}
-
-std::vector<SelectedBlock> MbiIndex::SelectSearchBlocksForRange(
-    const IdRange& range, double tau, std::vector<SelectionStep>* steps) const {
-  const ReadView view = AcquireReadView();
-  return SelectForView(view.snapshot->covered_end,
-                       static_cast<int64_t>(view.num_vectors), range, tau,
-                       steps);
-}
-
-std::vector<SelectedBlock> MbiIndex::SelectForView(
-    int64_t covered_end, int64_t num_vectors, const IdRange& range, double tau,
+    const ReadView& view, const IdRange& range, double tau,
     std::vector<SelectionStep>* steps) const {
+  const int64_t covered_end = view.snapshot->covered_end;
+  const int64_t num_vectors = static_cast<int64_t>(view.num_vectors);
   // Blocks are contiguous id slices, so both the query and each block are
   // intervals on the id axis; the overlap ratio is a count fraction.
   //
@@ -402,16 +386,8 @@ SearchResult MbiIndex::Search(const float* query, const TimeWindow& window,
                               const SearchParams& search, QueryContext* ctx,
                               MbiQueryStats* stats,
                               obs::QueryTrace* trace) const {
-  return SearchWithTau(query, window, search, params_.tau, ctx, stats, trace);
-}
-
-SearchResult MbiIndex::SearchWithTau(const float* query,
-                                     const TimeWindow& window,
-                                     const SearchParams& search, double tau,
-                                     QueryContext* ctx, MbiQueryStats* stats,
-                                     obs::QueryTrace* trace) const {
-  return SearchView(AcquireReadView(), query, window, search, tau, ctx, stats,
-                    trace);
+  return SearchView(AcquireReadView(), query, window, search, params_.tau, ctx,
+                    stats, trace);
 }
 
 Result<SearchResult> MbiIndex::SearchAdmitted(const float* query,
@@ -509,10 +485,8 @@ SearchResult MbiIndex::SearchView(const ReadView& view, const float* query,
                                static_cast<double>(view.num_vectors));
 
   const MbiSnapshot& snap = *view.snapshot;
-  std::vector<SelectedBlock> selected =
-      SelectForView(snap.covered_end, static_cast<int64_t>(view.num_vectors),
-                    qrange, tau, trace != nullptr ? &trace->selection
-                                                  : nullptr);
+  std::vector<SelectedBlock> selected = SelectSearchBlocks(
+      view, qrange, tau, trace != nullptr ? &trace->selection : nullptr);
 
   // Degradation policy: under a budget, search high-overlap blocks first so
   // that if the budget runs dry the blocks skipped are the ones expected to
@@ -576,8 +550,7 @@ SearchResult MbiIndex::SearchView(const ReadView& view, const float* query,
               sel.range.size(),
               static_cast<int64_t>(block_search.max_candidates))) *
           static_cast<double>(params_.build.degree);
-      if (static_cast<double>(block_in_window) <=
-          params_.adaptive_scan_factor * graph_cost) {
+      if (static_cast<double>(block_in_window) <= graph_cost) {
         use_graph = false;
       }
     }
@@ -669,19 +642,6 @@ SearchResult MbiIndex::SearchView(const ReadView& view, const float* query,
     stats->search += qstats.search;
   }
   return result;
-}
-
-obs::QueryTrace MbiIndex::Explain(const float* query, const TimeWindow& window,
-                                  const SearchParams& search,
-                                  QueryContext* ctx) const {
-  obs::QueryTrace trace;
-  (void)Search(query, window, search, ctx, /*stats=*/nullptr, &trace);
-  return trace;
-}
-
-SearchResult MbiIndex::SearchAll(const float* query, const SearchParams& search,
-                                 QueryContext* ctx) const {
-  return Search(query, TimeWindow::All(), search, ctx);
 }
 
 MbiStats MbiIndex::GetStats() const {

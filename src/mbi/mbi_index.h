@@ -59,11 +59,10 @@ struct MbiParams {
 
   /// Extension (off by default for paper fidelity): per selected block,
   /// fall back to an exact scan when the block's in-window vector count is
-  /// at most adaptive_scan_factor * M_C * degree — the expected number of
-  /// distance evaluations of the graph search. Makes MBI at least as fast
-  /// as BSBF on short windows at any scale; see bench_ablation_adaptive.
+  /// at most M_C * degree — the expected number of distance evaluations of
+  /// the graph search. Makes MBI at least as fast as BSBF on short windows
+  /// at any scale; see bench_ablation_adaptive.
   bool adaptive_block_search = false;
-  double adaptive_scan_factor = 1.0;
 
   /// Admission control: maximum queries in flight through SearchAdmitted
   /// at once (0 = unlimited). Excess queries are shed immediately with
@@ -143,7 +142,7 @@ struct ReadView {
 
 /// Concurrency contract: one writer thread may call Add/AddBatch while any
 /// number of reader threads call the const query methods (Search,
-/// SelectSearchBlocks, Explain, GetStats, ...). Readers never block the
+/// SearchView, SelectSearchBlocks, GetStats, ...). Readers never block the
 /// writer and vice versa; each query pins a ReadView and sees the committed
 /// prefix it describes. The writer side serializes on an internal mutex and
 /// every writer-side field is MBI_GUARDED_BY it, so the contract is checked
@@ -192,6 +191,11 @@ class MbiIndex {
   /// `trace`, when non-null, is filled with a full EXPLAIN record (selection
   /// decisions, per-block counters, timings and budget spend) — see
   /// obs/trace.h.
+  ///
+  /// SearchView(AcquireReadView(), ...) with params().tau. For a one-off
+  /// tau, call SearchView with it; for unrestricted kNN, pass
+  /// TimeWindow::All(); for EXPLAIN, pass a trace and print
+  /// trace->ToString().
   SearchResult Search(const float* query, const TimeWindow& window,
                       const SearchParams& search, QueryContext* ctx,
                       MbiQueryStats* stats = nullptr,
@@ -217,53 +221,35 @@ class MbiIndex {
     return inflight_high_water_.load(std::memory_order_relaxed);
   }
 
-  /// Search with a one-off block-selection threshold instead of
-  /// params().tau. Tau is a pure query-time parameter (the block structure
-  /// is identical for every tau), so parameter studies like the paper's
-  /// Figure 9 can share a single built index.
-  SearchResult SearchWithTau(const float* query, const TimeWindow& window,
-                             const SearchParams& search, double tau,
-                             QueryContext* ctx,
-                             MbiQueryStats* stats = nullptr,
-                             obs::QueryTrace* trace = nullptr) const;
-
   /// Pins the current committed state for a sequence of consistent reads.
   /// Loads the snapshot first and the committed size second, so the size is
   /// always >= the snapshot's covered prefix.
   ReadView AcquireReadView() const;
 
-  /// Search against an explicitly pinned view. Given the same view, the same
-  /// query arguments and an equally seeded QueryContext, results are
-  /// identical no matter what the writer does in the meantime — the basis of
-  /// the concurrent/serial parity tests.
+  /// The one query body: Algorithm 4 against an explicitly pinned view,
+  /// with block-selection threshold `tau`. Tau is a pure query-time
+  /// parameter (the block structure is identical for every tau), so
+  /// parameter studies like the paper's Figure 9 share one built index.
+  /// Given the same view, the same query arguments and an equally seeded
+  /// QueryContext, results are identical no matter what the writer does in
+  /// the meantime — the basis of the concurrent/serial parity tests.
   SearchResult SearchView(const ReadView& view, const float* query,
                           const TimeWindow& window, const SearchParams& search,
                           double tau, QueryContext* ctx,
                           MbiQueryStats* stats = nullptr,
                           obs::QueryTrace* trace = nullptr) const;
 
-  /// Convenience: unrestricted kNN (window = all time).
-  SearchResult SearchAll(const float* query, const SearchParams& search,
-                         QueryContext* ctx) const;
-
-  /// EXPLAIN: runs the query with tracing and returns the trace (results
-  /// are discarded; run Search with a trace pointer to keep both).
-  obs::QueryTrace Explain(const float* query, const TimeWindow& window,
-                          const SearchParams& search, QueryContext* ctx) const;
-
-  /// The search block set Algorithm 4 would use for `window` (exposed for
-  /// tests, benches and EXPLAIN-style debugging). The two-argument form
-  /// overrides tau. Selection happens in id space: the window is first
-  /// mapped to its id range (the paper's convention for duplicate
-  /// timestamps, and the count-fraction overlap ratio Theorem 4.2 assumes).
-  std::vector<SelectedBlock> SelectSearchBlocks(const TimeWindow& window) const;
-  std::vector<SelectedBlock> SelectSearchBlocks(const TimeWindow& window,
-                                                double tau) const;
-
-  /// Selection for a query already expressed as an id range. `steps`, when
-  /// non-null, receives every visited node with its r_o and tau decision.
-  std::vector<SelectedBlock> SelectSearchBlocksForRange(
-      const IdRange& range, double tau,
+  /// The search block set Algorithm 4 selects on `view` for the id range
+  /// `range` (SearchView's planner, public for tests, benches and EXPLAIN-
+  /// style debugging): tree selection over the view's covered prefix plus
+  /// the committed tail [covered_end, num_vectors) as one graph-less
+  /// pseudo-leaf. Selection happens in id space; map a window first with
+  /// store().FindRangeInPrefix(window, view.num_vectors) (the paper's
+  /// convention for duplicate timestamps, and the count-fraction overlap
+  /// ratio Theorem 4.2 assumes). `steps`, when non-null, receives every
+  /// visited node with its r_o and tau decision.
+  std::vector<SelectedBlock> SelectSearchBlocks(
+      const ReadView& view, const IdRange& range, double tau,
       std::vector<SelectionStep>* steps = nullptr) const;
 
   /// Tree shape for the current size.
@@ -339,13 +325,6 @@ class MbiIndex {
   // snapshot.
   void InstallBlocks(std::vector<std::shared_ptr<const BlockKnnIndex>> blocks)
       MBI_EXCLUDES(writer_mu_);
-
-  // Algorithm 4 selection against an explicit (covered_end, num_vectors)
-  // view: tree selection over the covered prefix plus the committed tail
-  // [covered_end, num_vectors) as one graph-less pseudo-leaf.
-  std::vector<SelectedBlock> SelectForView(
-      int64_t covered_end, int64_t num_vectors, const IdRange& range,
-      double tau, std::vector<SelectionStep>* steps) const;
 
   MbiParams params_;
   VectorStore store_;

@@ -7,10 +7,9 @@
 // the Algorithm 2 counters, and the wall time spent. Render it for humans
 // with ToString() (an EXPLAIN-style table) or for machines with ToJson().
 //
-// Obtain one from MbiIndex::Explain() or by passing a QueryTrace* to
-// MbiIndex::Search/SearchWithTau. Tracing is strictly per-query and heap-
-// allocating; the always-on process metrics (obs/metrics.h) are the cheap
-// path, traces are the deep one.
+// Obtain one by passing a QueryTrace* to MbiIndex::Search or SearchView.
+// Tracing is strictly per-query and heap-allocating; the always-on process
+// metrics (obs/metrics.h) are the cheap path, traces are the deep one.
 
 #ifndef MBI_OBS_TRACE_H_
 #define MBI_OBS_TRACE_H_

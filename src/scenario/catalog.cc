@@ -175,7 +175,6 @@ ScenarioSpec BaseShardSpec(const std::string& name, uint64_t seed) {
   spec.dim = 8;
   spec.index.leaf_size = 32;
   spec.index.block_kind = BlockIndexKind::kFlat;
-  spec.sharded.enable_hedging = true;
   // Concurrent runs sleep injected delays for real: keep them short but
   // past the hedge threshold.
   spec.sharded.hedge_delay_seconds = 0.002;

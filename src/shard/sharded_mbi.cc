@@ -74,15 +74,16 @@ Status ShardedMbiParams::Validate() const {
   if (shard_span <= 0) {
     return Status::InvalidArgument("shard_span must be > 0");
   }
-  if (hedge_delay_seconds < 0.0) {
+  // Every range check is written so that NaN fails it.
+  if (!(hedge_delay_seconds >= 0.0)) {
     return Status::InvalidArgument("hedge_delay_seconds must be >= 0");
   }
-  if (min_result_coverage < 0.0 || min_result_coverage > 1.0) {
+  if (!(min_result_coverage >= 0.0 && min_result_coverage <= 1.0)) {
     return Status::InvalidArgument("min_result_coverage must be in [0, 1]");
   }
-  if (backoff.initial_seconds < 0.0 || backoff.multiplier < 1.0 ||
-      backoff.max_seconds < 0.0 || backoff.jitter < 0.0 ||
-      backoff.jitter > 1.0) {
+  if (!(backoff.initial_seconds >= 0.0 && backoff.multiplier >= 1.0 &&
+        backoff.max_seconds >= 0.0 && backoff.jitter >= 0.0 &&
+        backoff.jitter <= 1.0)) {
     return Status::InvalidArgument(
         "backoff: initial/max >= 0, multiplier >= 1, jitter in [0, 1]");
   }
@@ -537,8 +538,7 @@ void ShardedMbi::GatherSerial(
     // Deterministic hedging: in real time the primary would still be
     // unresolved when the hedge timer fires, so any primary chain whose
     // simulated latency crosses the threshold gets its backup probe.
-    if (params_.enable_hedging &&
-        primary.simulated_seconds >= params_.hedge_delay_seconds) {
+    if (primary.simulated_seconds >= params_.hedge_delay_seconds) {
       slot.hedged = true;
       metrics.hedges->Increment();
       ChainOutcome hedge = RunChain(ref, query, window, search, query_seed,
@@ -631,7 +631,7 @@ void ShardedMbi::GatherConcurrent(
       pool_->Submit([run_chain_task, s] { run_chain_task(s, 0); });
     }
 
-    bool hedges_launched = !params_.enable_hedging;
+    bool hedges_launched = false;
     while (state->pending > 0) {
       double remaining = std::numeric_limits<double>::infinity();
       if (state->has_budget) {
@@ -828,17 +828,6 @@ Result<SearchResult> ShardedMbi::Search(const float* query,
         " shards answered, below min_result_coverage");
   }
   return merged;
-}
-
-ShardQueryTrace ShardedMbi::Explain(const float* query,
-                                    const TimeWindow& window,
-                                    const SearchParams& search,
-                                    QueryContext* ctx) const {
-  ShardQueryTrace trace;
-  // EXPLAIN reports whatever the probe query observed; a failed search
-  // still yields a useful (partial) trace and has no status channel here.
-  MBI_IGNORE_STATUS(Search(query, window, search, ctx, &trace));
-  return trace;
 }
 
 }  // namespace mbi::shard

@@ -89,7 +89,7 @@ struct ShardedMbiParams {
   /// Hedged retries: when a shard's probe has not resolved after
   /// hedge_delay_seconds, launch one backup probe and take the first
   /// response. Duplicate ids across the two probes are suppressed at merge.
-  bool enable_hedging = true;
+  /// +infinity never hedges.
   double hedge_delay_seconds = 0.010;
 
   /// Retry schedule for transient kResourceExhausted sheds; the structured
@@ -187,15 +187,12 @@ class ShardedMbi {
   /// sliced from search.budget, and k-way-merges with duplicate
   /// suppression. Errors only on invalid input or when coverage falls
   /// below min_result_coverage; shard faults otherwise degrade the result,
-  /// never fail it.
+  /// never fail it. `trace`, when non-null, receives the fan-out EXPLAIN
+  /// record (print it with ToString()), also when coverage falls below
+  /// min_result_coverage.
   Result<SearchResult> Search(const float* query, const TimeWindow& window,
                               const SearchParams& search, QueryContext* ctx,
                               ShardQueryTrace* trace = nullptr) const
-      MBI_EXCLUDES(mu_);
-
-  /// EXPLAIN: runs the query and returns the fan-out trace.
-  ShardQueryTrace Explain(const float* query, const TimeWindow& window,
-                          const SearchParams& search, QueryContext* ctx) const
       MBI_EXCLUDES(mu_);
 
   size_t dim() const { return dim_; }

@@ -163,7 +163,7 @@ TEST_F(ExtensionsFixture, CalibrationPicksATauPerFraction) {
   }
 }
 
-TEST_F(ExtensionsFixture, SearchWithTauMatchesParamsTau) {
+TEST_F(ExtensionsFixture, SearchViewTauOverrideMatchesParamsTau) {
   auto index = Build(false);
   QueryContext ctx_a(9), ctx_b(9);
   SearchParams sp;
@@ -171,8 +171,9 @@ TEST_F(ExtensionsFixture, SearchWithTauMatchesParamsTau) {
   sp.max_candidates = 48;
   TimeWindow w{200, 1500};
   SearchResult a = index->Search(queries_.data(), w, sp, &ctx_a);
-  SearchResult b = index->SearchWithTau(queries_.data(), w, sp,
-                                        index->params().tau, &ctx_b);
+  SearchResult b =
+      index->SearchView(index->AcquireReadView(), queries_.data(), w, sp,
+                        index->params().tau, &ctx_b);
   EXPECT_EQ(a, b);
 }
 

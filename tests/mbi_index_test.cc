@@ -277,12 +277,36 @@ TEST(MbiIndexTest, SelectSearchBlocksMatchesShapeSelection) {
   ASSERT_TRUE(index.AddBatch(data.vectors.data(), data.timestamps.data(), kN)
                   .ok());
   // Timestamps are 0..n-1, so windows map 1:1 to id ranges.
-  auto sel = index.SelectSearchBlocks(TimeWindow{10, 70});
+  const TimeWindow window{10, 70};
+  const ReadView view = index.AcquireReadView();
+  const IdRange range =
+      index.store().FindRangeInPrefix(window, view.num_vectors);
+  EXPECT_EQ(range.begin, 10);
+  EXPECT_EQ(range.end, 70);
+  const std::vector<SelectedBlock> sel =
+      index.SelectSearchBlocks(view, range, index.params().tau);
   ASSERT_FALSE(sel.empty());
-  int64_t covered_begin = sel.front().range.begin;
-  int64_t covered_end = sel.back().range.end;
-  EXPECT_LE(covered_begin, 10);
-  EXPECT_GE(covered_end, 70);
+  EXPECT_LE(sel.front().range.begin, 10);
+  EXPECT_GE(sel.back().range.end, 70);
+
+  // 96 rows in leaves of 16 leave no tail, so the planner is SelectBlocks
+  // over the covered shape, at every tau.
+  ASSERT_EQ(view.snapshot->covered_end, static_cast<int64_t>(kN));
+  for (double tau : {0.1, 0.5, 1.0}) {
+    const std::vector<SelectedBlock> want = SelectBlocks(
+        BlockTreeShape(static_cast<int64_t>(kN), 16), window, tau,
+        [](const IdRange& r) { return TimeWindow{r.begin, r.end}; });
+    const std::vector<SelectedBlock> got =
+        index.SelectSearchBlocks(view, range, tau);
+    ASSERT_EQ(got.size(), want.size()) << "tau " << tau;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].node, want[i].node);
+      EXPECT_EQ(got[i].range.begin, want[i].range.begin);
+      EXPECT_EQ(got[i].range.end, want[i].range.end);
+      EXPECT_EQ(got[i].has_graph, want[i].has_graph);
+      EXPECT_DOUBLE_EQ(got[i].overlap_ratio, want[i].overlap_ratio);
+    }
+  }
 }
 
 TEST(MbiIndexTest, GaugesAggregateAcrossCoexistingInstances) {
@@ -318,7 +342,7 @@ TEST(MbiIndexTest, GaugesAggregateAcrossCoexistingInstances) {
   EXPECT_DOUBLE_EQ(blocks->Value() - b0, 0);
 }
 
-TEST(MbiIndexTest, SearchAllEqualsWholeWindow) {
+TEST(MbiIndexTest, AllWindowEqualsWholeWindow) {
   const size_t kN = 64, kDim = 4;
   SyntheticData data = MakeData(kN, kDim, 81);
   MbiParams p = SmallParams(16);
@@ -329,8 +353,10 @@ TEST(MbiIndexTest, SearchAllEqualsWholeWindow) {
   QueryContext ctx;
   SearchParams sp;
   sp.k = 7;
-  SearchResult a = index.SearchAll(data.vector(0), sp, &ctx);
-  SearchResult b = index.Search(data.vector(0), TimeWindow::All(), sp, &ctx);
+  const TimeWindow whole{data.timestamps.front(), data.timestamps.back() + 1};
+  SearchResult a = index.Search(data.vector(0), TimeWindow::All(), sp, &ctx);
+  SearchResult b = index.Search(data.vector(0), whole, sp, &ctx);
+  EXPECT_EQ(a.size(), sp.k);
   EXPECT_EQ(a, b);
 }
 

@@ -323,25 +323,39 @@ TEST_F(QueryTraceTest, TracedQueryObeysLemma41AndRoundTrips) {
 }
 
 TEST_F(QueryTraceTest, ExplainMatchesUntracedSearch) {
-  QueryContext ctx(123);
   SearchParams sp;
   sp.k = 5;
   sp.max_candidates = 32;
   const TimeWindow window{data_.timestamps[0], data_.timestamps[128]};
 
-  const obs::QueryTrace trace =
-      index_->Explain(data_.vector(1), window, sp, &ctx);
+  // EXPLAIN is Search with a trace; tracing must not change the answer.
+  QueryContext traced_ctx(123), plain_ctx(123);
+  obs::QueryTrace trace;
+  const SearchResult traced = index_->Search(data_.vector(1), window, sp,
+                                             &traced_ctx, nullptr, &trace);
+  const SearchResult plain =
+      index_->Search(data_.vector(1), window, sp, &plain_ctx);
+  EXPECT_EQ(traced, plain);
   EXPECT_FALSE(trace.blocks.empty());
   EXPECT_LE(trace.blocks.size(), 2u);
   EXPECT_GT(trace.results_returned, 0u);
   EXPECT_EQ(trace.tau, index_->params().tau);
 
-  // The trace's block set equals what SelectSearchBlocks reports.
-  const std::vector<SelectedBlock> sel = index_->SelectSearchBlocks(window);
+  // The trace's block set and selection steps equal the planner's.
+  const ReadView view = index_->AcquireReadView();
+  std::vector<SelectionStep> steps;
+  const std::vector<SelectedBlock> sel = index_->SelectSearchBlocks(
+      view, index_->store().FindRangeInPrefix(window, view.num_vectors),
+      index_->params().tau, &steps);
   ASSERT_EQ(sel.size(), trace.blocks.size());
   for (size_t i = 0; i < sel.size(); ++i) {
     EXPECT_EQ(sel[i].node, trace.blocks[i].node);
     EXPECT_DOUBLE_EQ(sel[i].overlap_ratio, trace.blocks[i].overlap_ratio);
+  }
+  ASSERT_EQ(steps.size(), trace.selection.size());
+  for (size_t i = 0; i < steps.size(); ++i) {
+    EXPECT_EQ(steps[i].node, trace.selection[i].node);
+    EXPECT_EQ(steps[i].decision, trace.selection[i].decision);
   }
 }
 
@@ -382,7 +396,7 @@ TEST(ObsDefaultRegistryTest, QueryPathPopulatesGlobalMetrics) {
   QueryContext ctx(9);
   SearchParams sp;
   sp.k = 3;
-  (void)index.SearchAll(data.vector(0), sp, &ctx);
+  (void)index.Search(data.vector(0), TimeWindow::All(), sp, &ctx);
   EXPECT_GT(queries->Value(), before);
   EXPECT_GT(reg.GetCounter("mbi_build_blocks_built_total")->Value(), 0u);
   EXPECT_GT(reg.GetCounter("mbi_selection_nodes_visited_total")->Value(), 0u);

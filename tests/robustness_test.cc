@@ -2,9 +2,15 @@
 // degenerate shapes, parameter extremes, and cross-module invariants that
 // the per-module tests do not reach.
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstring>
+#include <filesystem>
 #include <limits>
+#include <memory>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +21,7 @@
 #include "graph/exact_builder.h"
 #include "graph/nndescent.h"
 #include "mbi/mbi_index.h"
+#include "shard/sharded_mbi.h"
 
 namespace mbi {
 namespace {
@@ -79,6 +86,182 @@ TEST_F(DuplicateTimestampFixture, MbiFlatEqualsBsbfWithDuplicates) {
       }
     }
   }
+}
+
+// --------------------------------------- exact differential property
+
+// Returns "" when `got` equals `want` in ids and distance bits, else the
+// first difference.
+std::string DiffAnswers(const SearchResult& got, const SearchResult& want) {
+  if (got.size() != want.size()) {
+    return "size " + std::to_string(got.size()) + " vs " +
+           std::to_string(want.size());
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    uint32_t got_bits = 0, want_bits = 0;
+    std::memcpy(&got_bits, &got[i].distance, sizeof(got_bits));
+    std::memcpy(&want_bits, &want[i].distance, sizeof(want_bits));
+    if (got[i].id != want[i].id || got_bits != want_bits) {
+      return "rank " + std::to_string(i) + ": (" +
+             std::to_string(got[i].distance) + ", " +
+             std::to_string(got[i].id) + ") vs (" +
+             std::to_string(want[i].distance) + ", " +
+             std::to_string(want[i].id) + ")";
+    }
+  }
+  return "";
+}
+
+// An MbiIndex over flat blocks, its checkpoint-recovered copy and a serial
+// ShardedMbi over flat shards are exact, so every answer must equal
+// BsbfIndex::Search in ids and distance bits. Seeded trials draw the edge
+// of the input domain: every metric, duplicate timestamps that straddle
+// leaves, zero rows and zero queries, negative inner-product distances,
+// windows that are whole, inverted, empty, random or past the data, k above
+// the window's population, any tau in (0, 1] and adaptive search on or off.
+// Trial 0 is fixed: a zero angular query puts every row at distance exactly
+// 1, so only the top-k tie rule decides which ids answer.
+TEST(ExactDifferentialTest, FlatMbiShardedAndRecoveredEqualBsbf) {
+  constexpr int kTrials = 60;
+  constexpr int kQueries = 40;
+  const Metric kMetrics[] = {Metric::kL2, Metric::kAngular,
+                             Metric::kInnerProduct};
+  Rng rng(0xD1FF2210);
+  size_t checked = 0;
+  size_t failures = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const bool all_tied = trial == 0;
+    const Metric metric = all_tied ? Metric::kAngular : kMetrics[trial % 3];
+    const size_t dim = all_tied ? 8 : 1 + rng.NextBounded(16);
+    const size_t n = all_tied ? 200 : 1 + rng.NextBounded(300);
+    const int64_t leaf = all_tied ? 16 : 1 + rng.NextBounded(40);
+    const bool adaptive = rng.NextBounded(2) == 1;
+
+    // Rows: Gaussian, or drawn from a few repeating patterns (exact
+    // duplicate distances), with some zero rows; inner-product rows lean
+    // positive so most distances are negative.
+    const size_t period = rng.NextBounded(2) == 1 ? 1 + rng.NextBounded(7) : 0;
+    const double zero_share = rng.NextBounded(3) == 0 ? 0.2 : 0.0;
+    const float shift = metric == Metric::kInnerProduct ? 0.75f : 0.0f;
+    std::vector<float> rows(n * dim);
+    for (size_t i = 0; i < n; ++i) {
+      float* row = &rows[i * dim];
+      if (rng.NextDouble() < zero_share) {
+        std::fill(row, row + dim, 0.0f);
+      } else if (period > 0 && i >= period) {
+        std::copy(row - period * dim, row - (period - 1) * dim, row);
+      } else {
+        for (size_t d = 0; d < dim; ++d) {
+          row[d] = static_cast<float>(rng.NextGaussian()) + shift;
+        }
+      }
+    }
+    // Non-negative, non-decreasing timestamps with runs of duplicates that
+    // straddle leaf boundaries.
+    const double repeat = rng.NextBounded(2) == 1 ? 0.8 : 0.4;
+    std::vector<Timestamp> ts(n);
+    ts[0] = static_cast<Timestamp>(rng.NextBounded(4));
+    for (size_t i = 1; i < n; ++i) {
+      ts[i] = ts[i - 1];
+      if (rng.NextDouble() >= repeat) {
+        ts[i] += 1 + static_cast<Timestamp>(rng.NextBounded(3));
+      }
+    }
+    const Timestamp t_lo = ts.front();
+    const Timestamp t_hi = ts.back();
+
+    BsbfIndex bsbf(dim, metric);
+    ASSERT_TRUE(bsbf.AddBatch(rows.data(), ts.data(), n).ok());
+    MbiParams p;
+    p.leaf_size = leaf;
+    p.block_kind = BlockIndexKind::kFlat;
+    p.adaptive_block_search = adaptive;
+    MbiIndex index(dim, metric, p);
+    ASSERT_TRUE(index.AddBatch(rows.data(), ts.data(), n).ok());
+
+    shard::ShardedMbiParams sp_params;
+    sp_params.shard_span =
+        1 + t_hi / 16 +
+        static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(t_hi) + 2));
+    sp_params.shard = p;
+    sp_params.num_search_threads = 0;  // serial fan-out
+    shard::ShardedMbi sharded(dim, metric, sp_params);
+    ASSERT_TRUE(sharded.AddBatch(rows.data(), ts.data(), n).ok());
+
+    // Every tenth trial, the recovered copy must answer identically.
+    std::unique_ptr<MbiIndex> recovered;
+    std::string dir;
+    if (trial % 10 == 0) {
+      dir = (std::filesystem::temp_directory_path() /
+             ("mbi_exact_differential_" + std::to_string(::getpid()) + "_" +
+              std::to_string(trial)))
+                .string();
+      std::filesystem::remove_all(dir);
+      ASSERT_TRUE(index.Checkpoint(dir).ok());
+      auto r = MbiIndex::Recover(dir);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      recovered = std::move(r).value();
+    }
+
+    QueryContext ctx(static_cast<uint64_t>(trial) + 1);
+    std::vector<float> query(dim);
+    for (int qi = 0; qi < kQueries; ++qi) {
+      if (all_tied || rng.NextBounded(6) == 0) {
+        std::fill(query.begin(), query.end(), 0.0f);
+      } else {
+        const size_t base = rng.NextBounded(n);
+        for (size_t d = 0; d < dim; ++d) {
+          query[d] = rows[base * dim + d] +
+                     (rng.NextBounded(2) == 1
+                          ? static_cast<float>(rng.NextGaussian())
+                          : 0.0f);
+        }
+      }
+      // Window ends fall in [t_lo - 2, t_hi + 2].
+      const uint64_t ends = static_cast<uint64_t>(t_hi - t_lo) + 5;
+      const Timestamp a = t_lo - 2 + static_cast<int64_t>(rng.NextBounded(ends));
+      const Timestamp b = t_lo - 2 + static_cast<int64_t>(rng.NextBounded(ends));
+      TimeWindow window;
+      switch (rng.NextBounded(8)) {
+        case 0: window = TimeWindow::All(); break;
+        case 1: window = TimeWindow{std::max(a, b), std::min(a, b)}; break;
+        case 2: window = TimeWindow{a, a}; break;
+        case 3: window = TimeWindow{t_hi + 1, t_hi + 4 + b - t_lo}; break;
+        default: window = TimeWindow{std::min(a, b), std::max(a, b) + 1};
+      }
+      SearchParams search;
+      search.k = 1 + rng.NextBounded(20);
+      const double tau = static_cast<double>(1 + rng.NextBounded(1000)) / 1000;
+
+      const SearchResult want = bsbf.Search(query.data(), search.k, window);
+      auto check = [&](const char* who, const SearchResult& got) {
+        ++checked;
+        const std::string diff = DiffAnswers(got, want);
+        if (diff.empty()) return;
+        if (++failures <= 10) {
+          ADD_FAILURE() << who << " differs from BSBF: trial " << trial
+                        << " metric " << MetricName(metric) << " dim " << dim
+                        << " n " << n << " leaf " << leaf << " adaptive "
+                        << adaptive << " window [" << window.start << ", "
+                        << window.end << ") k " << search.k << " tau " << tau
+                        << ": " << diff;
+        }
+      };
+      check("MbiIndex", index.SearchView(index.AcquireReadView(), query.data(),
+                                         window, search, tau, &ctx));
+      if (recovered != nullptr) {
+        check("recovered MbiIndex",
+              recovered->SearchView(recovered->AcquireReadView(),
+                                    query.data(), window, search, tau, &ctx));
+      }
+      auto s = sharded.Search(query.data(), window, search, &ctx);
+      ASSERT_TRUE(s.ok()) << s.status().ToString();
+      check("ShardedMbi", s.value());
+    }
+    if (!dir.empty()) std::filesystem::remove_all(dir);
+  }
+  EXPECT_EQ(failures, 0u) << "of " << checked << " answers";
+  EXPECT_GT(checked, static_cast<size_t>(2 * kTrials * kQueries));
 }
 
 TEST_F(DuplicateTimestampFixture, GraphKindRespectsDuplicateWindows) {

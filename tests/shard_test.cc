@@ -141,6 +141,70 @@ class ScriptedInjector final : public ShardFaultInjector {
   std::map<size_t, std::vector<ShardProbeFault>> scripts_ MBI_GUARDED_BY(mu_);
 };
 
+// ----------------------------------------------------------- params --
+
+TEST(ShardedMbiParamsTest, ValidateRejectsNanInEveryField) {
+  // NaN fails every comparison, so a check written as `x < 0.0` lets it
+  // through. Every float field must reject it, the shard's MbiParams
+  // included.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Field {
+    const char* name;
+    void (*set)(ShardedMbiParams*, double);
+  };
+  const Field fields[] = {
+      {"shard.tau", [](ShardedMbiParams* p, double v) { p->shard.tau = v; }},
+      {"shard.shed_retry_after_seconds",
+       [](ShardedMbiParams* p, double v) {
+         p->shard.shed_retry_after_seconds = v;
+       }},
+      {"hedge_delay_seconds",
+       [](ShardedMbiParams* p, double v) { p->hedge_delay_seconds = v; }},
+      {"min_result_coverage",
+       [](ShardedMbiParams* p, double v) { p->min_result_coverage = v; }},
+      {"backoff.initial_seconds",
+       [](ShardedMbiParams* p, double v) { p->backoff.initial_seconds = v; }},
+      {"backoff.multiplier",
+       [](ShardedMbiParams* p, double v) { p->backoff.multiplier = v; }},
+      {"backoff.max_seconds",
+       [](ShardedMbiParams* p, double v) { p->backoff.max_seconds = v; }},
+      {"backoff.jitter",
+       [](ShardedMbiParams* p, double v) { p->backoff.jitter = v; }},
+  };
+  for (const Field& f : fields) {
+    ShardedMbiParams p = FlatParams(25);
+    ASSERT_TRUE(p.Validate().ok()) << f.name;
+    f.set(&p, nan);
+    EXPECT_FALSE(p.Validate().ok()) << f.name << " = NaN passed Validate";
+  }
+  // +infinity is a valid hedge delay: it means "never hedge".
+  ShardedMbiParams p = FlatParams(25);
+  p.hedge_delay_seconds = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(p.Validate().ok());
+}
+
+TEST(ShardedMbi, InfiniteHedgeDelayNeverHedgesOnThePool) {
+  ShardedMbiParams p = FlatParams(25);
+  p.num_search_threads = 2;
+  p.hedge_delay_seconds = std::numeric_limits<double>::infinity();
+  ShardedMbi index(8, Metric::kL2, p);
+  FillSharded(&index, 100, 37);
+  auto injector = std::make_shared<ScriptedInjector>();
+  injector->Push(1, ShardProbeFault{Status::Ok(), 0.02});
+  index.SetFaultInjectorForTesting(injector);
+
+  SearchParams sp;
+  sp.k = 10;
+  QueryContext ctx(3);
+  const float q[8] = {};
+  ShardQueryTrace trace;
+  auto res = index.Search(q, TimeWindow::All(), sp, &ctx, &trace);
+  ASSERT_TRUE(res.ok());
+  EXPECT_FALSE(res.value().degraded());
+  EXPECT_EQ(trace.shards_ok, 4u);
+  EXPECT_EQ(trace.hedges_fired, 0u);
+}
+
 // -------------------------------------------------- routing + identity --
 
 TEST(ShardedMbi, RoutesRowsToTimeShards) {
@@ -301,7 +365,8 @@ TEST(ShardedMbi, RunawayRetryAfterHintIsCappedByBackoffMax) {
   ShardedMbiParams p = FlatParams(25);
   p.backoff.max_retries = 2;
   p.backoff.max_seconds = 0.002;
-  p.enable_hedging = false;  // keep the scripted shed sequence race-free
+  // Never hedge: keep the scripted shed sequence race-free.
+  p.hedge_delay_seconds = std::numeric_limits<double>::infinity();
   ShardedMbi index(8, Metric::kL2, p);
   FillSharded(&index, 100, 47);
 
@@ -327,7 +392,7 @@ TEST(ShardedMbi, RunawayRetryAfterHintIsCappedByBackoffMax) {
 TEST(ShardedMbi, RetryBudgetExhaustionDegradesToPartialResult) {
   ShardedMbiParams p = FlatParams(25);
   p.backoff.max_retries = 1;
-  p.enable_hedging = false;
+  p.hedge_delay_seconds = std::numeric_limits<double>::infinity();
   ShardedMbi index(8, Metric::kL2, p);
   FillSharded(&index, 100, 43);
 
@@ -414,7 +479,7 @@ TEST(ShardedMbi, HedgeRescuesFailedPrimary) {
 
 TEST(ShardedMbi, UnavailableProbeQuarantinesTheShard) {
   ShardedMbiParams p = FlatParams(25);
-  p.enable_hedging = false;
+  p.hedge_delay_seconds = std::numeric_limits<double>::infinity();
   ShardedMbi index(8, Metric::kL2, p);
   FillSharded(&index, 100, 59);
 
@@ -590,8 +655,8 @@ TEST(ShardedMbi, ExplainReportsFanOut) {
   sp.k = 5;
   QueryContext ctx(5);
   const float q[8] = {};
-  const ShardQueryTrace trace =
-      index.Explain(q, TimeWindow{0, 60}, sp, &ctx);
+  ShardQueryTrace trace;
+  ASSERT_TRUE(index.Search(q, TimeWindow{0, 60}, sp, &ctx, &trace).ok());
   EXPECT_EQ(trace.shards_selected, 3u);
   const std::string text = trace.ToString();
   EXPECT_NE(text.find("shard"), std::string::npos);

@@ -36,6 +36,28 @@ TEST(TopKHeapTest, EqualDistanceToWorstIsRejected) {
   EXPECT_FALSE(h.Push(2.0f, 2));
 }
 
+TEST(TopKHeapTest, TiedOffersKeepSmallestIdsInAnyOrder) {
+  // Five offers tie at the k-th distance: the heap keeps the k smallest
+  // (distance, id) pairs, so the order of the offers does not matter.
+  const std::vector<Neighbor> offers = {
+      {1.0f, 7}, {0.5f, 9}, {1.0f, 3}, {1.0f, 12}, {1.0f, 1}, {1.0f, 5}};
+  const std::vector<Neighbor> reversed(offers.rbegin(), offers.rend());
+  for (const std::vector<Neighbor>* order : {&offers, &reversed}) {
+    TopKHeap h(3);
+    for (const Neighbor& nb : *order) h.Push(nb.distance, nb.id);
+    const SearchResult r = h.ExtractSorted();
+    ASSERT_EQ(r.size(), 3u);
+    EXPECT_EQ(r[0], (Neighbor{0.5f, 9}));
+    EXPECT_EQ(r[1], (Neighbor{1.0f, 1}));
+    EXPECT_EQ(r[2], (Neighbor{1.0f, 3}));
+  }
+  // An offer tied with the k-th distance but a smaller id displaces it.
+  TopKHeap h(1);
+  EXPECT_TRUE(h.Push(2.0f, 5));
+  EXPECT_TRUE(h.Push(2.0f, 4));
+  EXPECT_EQ(h.contents().front().id, 4);
+}
+
 TEST(TopKHeapTest, ExtractSortedAscending) {
   TopKHeap h(4);
   h.Push(4.0f, 1);
