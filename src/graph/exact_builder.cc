@@ -79,8 +79,9 @@ KnnGraph BuildExactKnnGraph(const VectorSlice& rows, size_t n,
   for (size_t v = 0; v < n; ++v) {
     auto& h = heaps[v];
     std::sort(h.begin(), h.end());
-    auto neighbors = graph.MutableNeighbors(static_cast<NodeId>(v));
-    for (size_t s = 0; s < h.size(); ++s) neighbors[s] = h[s].id;
+    for (size_t s = 0; s < h.size(); ++s) {
+      graph.SetNeighbor(static_cast<NodeId>(v), s, h[s].id);
+    }
   }
   return graph;
 }

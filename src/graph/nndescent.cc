@@ -258,9 +258,8 @@ KnnGraph BuildNnDescentGraph(const VectorSlice& rows, size_t n,
   KnnGraph graph(n, params.degree);
   for (size_t v = 0; v < n; ++v) {
     const auto& entries = pools[v].entries();
-    auto neighbors = graph.MutableNeighbors(static_cast<NodeId>(v));
     for (size_t i = 0; i < entries.size() && i < params.degree; ++i) {
-      neighbors[i] = entries[i].id;
+      graph.SetNeighbor(static_cast<NodeId>(v), i, entries[i].id);
     }
   }
   return graph;

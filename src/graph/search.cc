@@ -139,24 +139,28 @@ void GraphSearcher::Search(const VectorStore& store, const KnnGraph& graph,
     // A neighbor is marked when scored, whether or not it enters C. Once R
     // is full, max(R) and with it the bound only fall, so a neighbor the
     // bound refuses would be refused at every later visit: each vertex is
-    // scored at most once, with the same results.
-    for (NodeId nb : graph.Neighbors(v)) {
-      if (nb == kInvalidNode) break;
-      if (queued_.TestAndSet(nb)) continue;
-      float d = dist(query, rows.row(static_cast<size_t>(nb)));
-      ++local_stats.distance_evaluations;
-      if (budgeted && !budget->ChargeDistance()) break;
-      if (restrict_range && !(d < bound)) {
-        ++local_stats.pool_rejects;
-        continue;
+    // scored at most once, with the same results. The slots are read at the
+    // width the graph stores them, 16 or 32 bits.
+    graph.VisitNeighbors(v, [&](auto slots) {
+      using Id = typename decltype(slots)::value_type;
+      for (const Id nb : slots) {
+        if (nb == kEmptySlot<Id>) break;
+        if (queued_.TestAndSet(nb)) continue;
+        float d = dist(query, rows.row(static_cast<size_t>(nb)));
+        ++local_stats.distance_evaluations;
+        if (budgeted && !budget->ChargeDistance()) break;
+        if (restrict_range && !(d < bound)) {
+          ++local_stats.pool_rejects;
+          continue;
+        }
+        size_t pos = PoolInsert(d, nb, capacity);
+        if (pos != SIZE_MAX) {
+          min_inserted = std::min(min_inserted, pos);
+        } else {
+          ++local_stats.pool_rejects;
+        }
       }
-      size_t pos = PoolInsert(d, nb, capacity);
-      if (pos != SIZE_MAX) {
-        min_inserted = std::min(min_inserted, pos);
-      } else {
-        ++local_stats.pool_rejects;
-      }
-    }
+    });
     // Restart the scan at the nearest newly inserted candidate.
     if (min_inserted < scan_from) scan_from = min_inserted;
   }

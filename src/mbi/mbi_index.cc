@@ -118,6 +118,17 @@ Status MbiParams::Validate() const {
   if (build.degree == 0) {
     return Status::InvalidArgument("graph degree must be >= 1");
   }
+  // NNDescent converts rho * degree and delta * n * degree to size_t, which
+  // is undefined for NaN and negative values.
+  if (!(build.rho > 0.0) || build.rho > 1.0) {
+    return Status::InvalidArgument("build.rho must be in (0, 1]");
+  }
+  if (!(build.delta >= 0.0) || build.delta > 1.0) {
+    return Status::InvalidArgument("build.delta must be in [0, 1]");
+  }
+  if (build.max_iterations < 1) {
+    return Status::InvalidArgument("build.max_iterations must be >= 1");
+  }
   if (num_threads < 1) {
     return Status::InvalidArgument("num_threads must be >= 1");
   }

@@ -171,7 +171,7 @@ TEST(GraphBlockIndexTest, MemoryScalesWithSliceAndDegree) {
   GraphBuildParams params;
   params.degree = 8;
   GraphBlockIndex index(store, IdRange{0, 300}, params, nullptr);
-  EXPECT_EQ(index.MemoryBytes(), 300 * 8 * sizeof(NodeId));
+  EXPECT_EQ(index.MemoryBytes(), 300 * 8 * sizeof(uint16_t));
 }
 
 }  // namespace

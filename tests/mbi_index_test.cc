@@ -1,6 +1,7 @@
 // MbiIndex: incremental structure invariants (Algorithm 3), query processing
 // (Algorithm 4), exactness oracle against BSBF, parallel/batch equivalence.
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -49,6 +50,39 @@ TEST(MbiParamsTest, Validation) {
   p = SmallParams();
   p.num_threads = 0;
   EXPECT_FALSE(p.Validate().ok());
+}
+
+// NNDescent converts rho * degree and delta * n * degree to size_t, so a
+// NaN or negative value must never pass, from a caller or a manifest.
+TEST(MbiParamsTest, ValidationChecksEveryBuildField) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double rho : {nan, 0.0, -0.5, 1.5}) {
+    MbiParams p = SmallParams();
+    p.build.rho = rho;
+    EXPECT_FALSE(p.Validate().ok()) << "rho " << rho;
+  }
+  for (double delta : {nan, -0.001, 1.5}) {
+    MbiParams p = SmallParams();
+    p.build.delta = delta;
+    EXPECT_FALSE(p.Validate().ok()) << "delta " << delta;
+  }
+  MbiParams p = SmallParams();
+  p.build.max_iterations = 0;
+  EXPECT_FALSE(p.Validate().ok());
+  // The edges of each range stay valid.
+  for (double rho : {1e-9, 0.3, 1.0}) {
+    p = SmallParams();
+    p.build.rho = rho;
+    EXPECT_TRUE(p.Validate().ok()) << "rho " << rho;
+  }
+  for (double delta : {0.0, 0.002, 1.0}) {
+    p = SmallParams();
+    p.build.delta = delta;
+    EXPECT_TRUE(p.Validate().ok()) << "delta " << delta;
+  }
+  p = SmallParams();
+  p.build.max_iterations = 1;
+  EXPECT_TRUE(p.Validate().ok());
 }
 
 TEST(MbiIndexTest, StructureInvariantsAfterEveryInsert) {

@@ -2,7 +2,10 @@
 // rows, timestamps, params and block graphs. Corruption handling lives in
 // persist_test.
 
+#include <bit>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -146,6 +149,73 @@ TEST(MbiIoTest, StoredBuildParamsSurviveCheckpointRecover) {
                 recovered->Search(queries.data() + qi * kDim, w, sp, &ctx_b));
     }
   }
+  std::filesystem::remove_all(dir);
+}
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// tests/fixtures/checkpoint_100x8_l2 was written by Checkpoint while
+// KnnGraph still held every slot as a uint32: 100 rows of
+// GenerateSynthetic({dim 8, seed 11}), L2, leaves of 8, graph degree 8
+// and every other parameter at its default. Its 12 leaves hold 22 blocks,
+// each leaf row with one empty slot, and the last 4 rows sit in the tail
+// log. The digest folds the ids and distance bits that code answered for
+// 8 queries over 3 windows; the recovered index must answer the same, and
+// checkpointing it again must write the fixture's segments byte for byte.
+TEST(MbiIoTest, RecoversCheckpointWrittenWithUint32Graphs) {
+  const std::string fixture =
+      std::string(MBI_FIXTURE_DIR) + "/checkpoint_100x8_l2";
+  auto recovered = MbiIndex::Recover(fixture);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const MbiIndex& index = *recovered.value();
+  EXPECT_EQ(index.size(), 100u);
+  EXPECT_EQ(index.num_blocks(), 22u);
+
+  SyntheticParams gen;
+  gen.dim = 8;
+  gen.seed = 11;
+  const std::vector<float> queries = GenerateQueries(gen, 8);
+  SearchParams sp;
+  sp.k = 5;
+  uint64_t digest = 0xCBF29CE484222325ULL;
+  auto fold = [&digest](uint64_t x) {
+    digest ^= x;
+    digest *= 0x100000001B3ULL;
+  };
+  size_t answers = 0;
+  for (TimeWindow w :
+       {TimeWindow{0, 100}, TimeWindow{75, 100}, TimeWindow{19, 61}}) {
+    for (size_t qi = 0; qi < 8; ++qi) {
+      QueryContext ctx(42);
+      for (const Neighbor& nb :
+           index.Search(queries.data() + qi * 8, w, sp, &ctx)) {
+        fold(static_cast<uint64_t>(nb.id));
+        fold(std::bit_cast<uint32_t>(nb.distance));
+        ++answers;
+      }
+    }
+  }
+  EXPECT_EQ(answers, 120u);
+  EXPECT_EQ(digest, 0xcd8f789f0d1ed219ULL) << std::hex << digest;
+
+  const std::string dir = FreshDir("mbi_fixture_rewrite");
+  ASSERT_TRUE(index.Checkpoint(dir).ok());
+  size_t segments = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(fixture + "/segments")) {
+    const std::filesystem::path name = entry.path().filename();
+    EXPECT_TRUE(ReadFile(entry.path()) ==
+                ReadFile(std::filesystem::path(dir) / "segments" / name))
+        << name;
+    ++segments;
+  }
+  EXPECT_EQ(segments, 12u + 22u);
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir + "/segments"),
+                          std::filesystem::directory_iterator()),
+            static_cast<std::ptrdiff_t>(segments));
   std::filesystem::remove_all(dir);
 }
 

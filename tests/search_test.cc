@@ -1,7 +1,9 @@
 // Algorithm 2 (time-filtered best-first graph search): filter correctness,
 // full-window recall vs exact scan, short-window behavior, stats.
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -313,6 +315,51 @@ TEST(GraphSearcherTest, SingleNodeGraph) {
   searcher.Search(store, graph, IdRange{0, 1}, q, p, nullptr, &rng, &heap);
   ASSERT_EQ(heap.size(), 1u);
   EXPECT_EQ(heap.contents()[0].id, 0);
+}
+
+// Algorithm 2 reads a graph's slots at the width it stores them. A path
+// over the 1-d rows 0, 1, ..., n-1 links each row to the rows beside it,
+// so each end row also holds an empty slot. From any entry, a k = 1 walk
+// must reach the row nearest the query, at 65,535 rows (16-bit slots) and
+// at 65,536 (32-bit slots).
+TEST(GraphSearcherTest, WalksPathGraphAtBothWidths) {
+  for (const size_t n :
+       {KnnGraph::kMaxNarrowNodes, KnnGraph::kMaxNarrowNodes + 1}) {
+    std::vector<float> rows(n);
+    std::vector<Timestamp> timestamps(n);
+    for (size_t i = 0; i < n; ++i) {
+      rows[i] = static_cast<float>(i);
+      timestamps[i] = static_cast<Timestamp>(i);
+    }
+    VectorStore store(1, Metric::kL2);
+    ASSERT_TRUE(store.AppendBatch(rows.data(), timestamps.data(), n).ok());
+    KnnGraph graph(n, 2);
+    for (size_t i = 0; i < n; ++i) {
+      const NodeId v = static_cast<NodeId>(i);
+      size_t slot = 0;
+      if (i > 0) graph.SetNeighbor(v, slot++, v - 1);
+      if (i + 1 < n) graph.SetNeighbor(v, slot, v + 1);
+    }
+    const size_t slot_bytes = n <= KnnGraph::kMaxNarrowNodes ? 2 : 4;
+    EXPECT_EQ(graph.MemoryBytes(), n * 2 * slot_bytes);
+
+    GraphSearcher searcher;
+    SearchParams p;
+    p.k = 1;
+    for (const float q : {0.2f, 1234.4f, 40000.3f, 65534.9f, 70000.0f}) {
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        TopKHeap heap(1);
+        Rng rng(seed);
+        searcher.Search(store, graph, IdRange{0, static_cast<VectorId>(n)},
+                        &q, p, nullptr, &rng, &heap);
+        const SearchResult got = heap.ExtractSorted();
+        const VectorId want =
+            std::min(std::lround(q), static_cast<long>(n - 1));
+        ASSERT_EQ(got.size(), 1u);
+        EXPECT_EQ(got[0].id, want) << "n " << n << " q " << q;
+      }
+    }
+  }
 }
 
 }  // namespace
