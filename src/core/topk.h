@@ -19,7 +19,13 @@ namespace mbi {
 class TopKHeap {
  public:
   /// Creates a heap retaining the k smallest-distance entries. k must be > 0.
-  explicit TopKHeap(size_t k) : k_(k) { MBI_CHECK(k > 0); heap_.reserve(k); }
+  /// Any k is accepted, up to SIZE_MAX: the first reservation is capped at
+  /// kMaxInitialReserve entries and the heap grows with its offers, so a k
+  /// above the window costs what is offered, not what k names.
+  explicit TopKHeap(size_t k) : k_(k) {
+    MBI_CHECK(k > 0);
+    heap_.reserve(std::min(k, kMaxInitialReserve));
+  }
 
   /// Offers a candidate; keeps it only if it is among the k nearest so far.
   /// Returns true if the candidate was kept. The heap keeps the k smallest
@@ -63,6 +69,8 @@ class TopKHeap {
   const std::vector<Neighbor>& contents() const { return heap_; }
 
  private:
+  static constexpr size_t kMaxInitialReserve = 256;  // 4 KiB of entries
+
   size_t k_;
   std::vector<Neighbor> heap_;  // max-heap by Neighbor::operator<
 };

@@ -36,9 +36,13 @@ void VectorStore::EnsureChunkFor(size_t index) {
   if (chunk < data_chunks_.size()) return;
   MBI_CHECK(chunk == data_chunks_.size());  // appends are sequential
 
+  // Default-initialized, not zero-filled: a page becomes resident only when
+  // AppendLocked first writes a row into it, so the unfilled capacity costs
+  // address space, not memory. Nothing reads a slot at or past size().
   data_chunks_.push_back(
-      std::make_unique<float[]>(chunk_capacity_ * dist_.dim()));
-  ts_chunks_.push_back(std::make_unique<Timestamp[]>(chunk_capacity_));
+      std::make_unique_for_overwrite<float[]>(chunk_capacity_ * dist_.dim()));
+  ts_chunks_.push_back(
+      std::make_unique_for_overwrite<Timestamp[]>(chunk_capacity_));
 
   if (chunk >= table_capacity_) {
     // Grow the chunk table. The previous table is retired, not freed:

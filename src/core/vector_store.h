@@ -10,13 +10,16 @@
 //
 //   Storage is a sequence of fixed-capacity arena chunks that are never
 //   reallocated or moved, so a pointer returned by GetVector() stays valid
-//   for the lifetime of the store. The writer appends into the tail chunk
-//   and then publishes the new size with a release store; readers obtain the
-//   committed size via size() (acquire) and may touch any id below it while
-//   the writer keeps appending. Append/AppendBatch serialize on an internal
-//   writer mutex, and every writer-side field is MBI_GUARDED_BY it, so the
-//   single-writer half of the contract is enforced at compile time under
-//   Clang -Wthread-safety (and at run time for accidental second writers).
+//   for the lifetime of the store. Chunks are not zero-filled: a chunk
+//   commits memory only as rows fill its pages, and its unfilled capacity
+//   is address space, not resident memory. The writer appends into the tail
+//   chunk and then publishes the new size with a release store; readers
+//   obtain the committed size via size() (acquire) and may touch any id
+//   below it while the writer keeps appending. Append/AppendBatch serialize
+//   on an internal writer mutex, and every writer-side field is
+//   MBI_GUARDED_BY it, so the single-writer half of the contract is enforced
+//   at compile time under Clang -Wthread-safety (and at run time for
+//   accidental second writers).
 
 #ifndef MBI_CORE_VECTOR_STORE_H_
 #define MBI_CORE_VECTOR_STORE_H_
@@ -56,9 +59,9 @@ bool IsFiniteVector(const float* v, size_t dim);
 
 class VectorStore {
  public:
-  /// Default arena capacity in vectors. Must be a power of two; smaller
-  /// values waste less memory on tiny stores, larger ones give longer
-  /// contiguous runs to SIMD-friendly scan loops.
+  /// Default arena capacity in vectors. Must be a power of two. Larger
+  /// values give longer contiguous runs to SIMD-friendly scan loops; the
+  /// unfilled capacity of a tiny store costs address space, not memory.
   static constexpr size_t kDefaultChunkCapacity = 8192;
 
   /// Creates an empty store for `dim`-dimensional vectors under `metric`.
@@ -148,8 +151,10 @@ class VectorStore {
     return GetTimestamp(static_cast<VectorId>(size()) - 1);
   }
 
-  /// Bytes used by committed vector data + timestamps (allocation is rounded
-  /// up to whole chunks; this reports the used portion).
+  /// Bytes used by committed vector data + timestamps. Allocation is
+  /// rounded up to whole chunks, but a chunk's pages become resident only
+  /// as rows fill them, so this is also what the rows hold in memory, to
+  /// within one page per chunk.
   size_t MemoryBytes() const {
     return size() * (dist_.dim() * sizeof(float) + sizeof(Timestamp));
   }

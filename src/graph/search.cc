@@ -74,7 +74,9 @@ void GraphSearcher::Search(const VectorStore& store, const KnnGraph& graph,
   const VectorSlice rows(store, range.begin);
 
   pool_.clear();
-  pool_.reserve(bounded_capacity + 1);
+  // The pool holds each node at most once, so the block's node count bounds
+  // it whatever k is.
+  pool_.reserve(std::min(bounded_capacity, n) + 1);
   queued_.EnsureCapacity(n);
   queued_.Reset();
 

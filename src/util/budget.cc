@@ -32,8 +32,7 @@ VirtualClock* InjectedDistanceDelayClock() {
 
 }  // namespace budget_testing
 
-BudgetTracker::BudgetTracker(const QueryBudget* budget)
-    : budget_(budget), start_nanos_(NowNanos()) {
+BudgetTracker::BudgetTracker(const QueryBudget* budget) : budget_(budget) {
   if (budget_ == nullptr) return;
   delay_nanos_ = budget_testing::InjectedDistanceDelayNanos();
   delay_clock_ = budget_testing::InjectedDistanceDelayClock();
@@ -78,10 +77,6 @@ void BudgetTracker::InjectDelay(uint64_t n) {
   const auto until = PhysicalClock::now() + std::chrono::nanoseconds(nanos);
   while (PhysicalClock::now() < until) {
   }
-}
-
-double BudgetTracker::ElapsedSeconds() const {
-  return static_cast<double>(NowNanos() - start_nanos_) * 1e-9;
 }
 
 double BudgetTracker::FractionRemaining() const {

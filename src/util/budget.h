@@ -219,9 +219,6 @@ class BudgetTracker {
   uint64_t distance_evals() const { return distance_evals_; }
   uint64_t hops() const { return hops_; }
 
-  /// Seconds since the tracker was created (== query start).
-  double ElapsedSeconds() const;
-
   /// Smallest remaining fraction across the bounded dimensions, in [0, 1];
   /// 1.0 when nothing is bounded. Drives the ef-shrink degradation policy:
   /// as the budget drains, later blocks get proportionally smaller candidate
@@ -242,7 +239,6 @@ class BudgetTracker {
   bool exhausted_ = false;
   DegradeReason reason_ = DegradeReason::kNone;
   double deadline_total_seconds_ = 0.0;  // <= 0 when no deadline
-  int64_t start_nanos_ = 0;              // global-clock query start
 };
 
 }  // namespace mbi

@@ -23,8 +23,6 @@ std::atomic<const Clock*> g_clock_override{nullptr};
 
 }  // namespace
 
-const Clock* Clock::Real() { return &g_real_clock; }
-
 const Clock* GlobalClock() {
   const Clock* c = g_clock_override.load(std::memory_order_acquire);
   return c != nullptr ? c : &g_real_clock;

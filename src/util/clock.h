@@ -35,9 +35,6 @@ class Clock {
   virtual ~Clock() = default;
 
   virtual int64_t NowNanos() const = 0;
-
-  /// The process-wide monotonic clock (steady_clock-backed singleton).
-  static const Clock* Real();
 };
 
 /// The currently installed global clock (the real clock unless a test or

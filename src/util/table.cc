@@ -73,12 +73,6 @@ std::string FormatFloat(double v, int precision) {
   return buf;
 }
 
-std::string FormatSci(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*e", precision, v);
-  return buf;
-}
-
 std::string FormatBytes(size_t bytes) {
   const char* units[] = {"B", "KiB", "MiB", "GiB"};
   double v = static_cast<double>(bytes);

@@ -38,7 +38,6 @@ class TablePrinter {
 
 /// printf-style float formatting helpers for table cells.
 std::string FormatFloat(double v, int precision = 2);
-std::string FormatSci(double v, int precision = 2);
 std::string FormatBytes(size_t bytes);
 std::string FormatCount(size_t n);
 

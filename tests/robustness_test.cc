@@ -5,12 +5,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "graph/exact_builder.h"
 #include "graph/nndescent.h"
 #include "mbi/mbi_index.h"
+#include "scenario/invariants.h"
 #include "shard/sharded_mbi.h"
 
 namespace mbi {
@@ -262,6 +265,90 @@ TEST(ExactDifferentialTest, FlatMbiShardedAndRecoveredEqualBsbf) {
   }
   EXPECT_EQ(failures, 0u) << "of " << checked << " answers";
   EXPECT_GT(checked, static_cast<size_t>(2 * kTrials * kQueries));
+}
+
+// k above the window, up to SIZE_MAX, is a defined input: the answer is at
+// most the window, and nothing may reserve k entries up front (2^40 of them
+// is 16 TiB; SIZE_MAX makes vector::reserve throw). Every path's answer must
+// pass the scenario validity check, and the exact paths (flat blocks, BSBF)
+// must return the whole window in BSBF order.
+TEST(HugeKTest, EveryPathAnswersWithAtMostTheWindow) {
+  constexpr size_t kN = 1000;
+  constexpr size_t kDim = 8;
+  SyntheticParams gen;
+  gen.dim = kDim;
+  gen.seed = 2040;
+  const SyntheticData data = GenerateSynthetic(gen, kN);
+  const TimeWindow window{700, 950};  // timestamps are 0..n-1: 250 rows
+  const float* query = data.vector(800);
+  BsbfIndex bsbf(kDim, Metric::kL2);
+  ASSERT_TRUE(
+      bsbf.AddBatch(data.vectors.data(), data.timestamps.data(), kN).ok());
+  const size_t in_window = 250;
+  const SearchResult whole =
+      BsbfIndex::Query(bsbf.store(), query, in_window, window);
+  ASSERT_EQ(whole.size(), in_window);
+
+  enum class Kind { kFlat, kGraph, kAdaptiveGraph };
+  for (const Kind kind : {Kind::kFlat, Kind::kGraph, Kind::kAdaptiveGraph}) {
+    MbiParams p;
+    p.leaf_size = 64;
+    p.build.degree = 8;
+    p.block_kind =
+        kind == Kind::kFlat ? BlockIndexKind::kFlat : BlockIndexKind::kGraph;
+    p.adaptive_block_search = kind == Kind::kAdaptiveGraph;
+    MbiIndex index(kDim, Metric::kL2, p);
+    ASSERT_TRUE(
+        index.AddBatch(data.vectors.data(), data.timestamps.data(), kN).ok());
+    shard::ShardedMbiParams sp_params;
+    sp_params.shard_span = 300;
+    sp_params.shard = p;
+    sp_params.num_search_threads = 0;  // serial fan-out
+    shard::ShardedMbi sharded(kDim, Metric::kL2, sp_params);
+    ASSERT_TRUE(
+        sharded.AddBatch(data.vectors.data(), data.timestamps.data(), kN)
+            .ok());
+
+    for (const size_t k : {in_window + 1, size_t{1} << 40, SIZE_MAX}) {
+      SearchParams search;
+      search.k = k;
+      QueryContext ctx(7);
+      auto sharded_answer = sharded.Search(query, window, search, &ctx);
+      ASSERT_TRUE(sharded_answer.ok()) << sharded_answer.status().ToString();
+      struct Answer {
+        const char* who;
+        SearchResult got;
+        bool exact;
+      };
+      const bool flat = kind == Kind::kFlat;
+      const Answer answers[] = {
+          {"MbiIndex::Search", index.Search(query, window, search, &ctx),
+           flat},
+          {"SearchView",
+           index.SearchView(index.AcquireReadView(), query, window, search,
+                            /*tau=*/0.5, &ctx),
+           flat},
+          {"ShardedMbi::Search", std::move(sharded_answer).value(), flat},
+          {"BsbfIndex::Query",
+           BsbfIndex::Query(bsbf.store(), query, k, window), true},
+      };
+      for (const auto& [who, got, exact] : answers) {
+        SCOPED_TRACE(std::string(who) + " kind " +
+                     std::to_string(static_cast<int>(kind)) + " k " +
+                     std::to_string(k));
+        EXPECT_EQ(got.completion, Completion::kComplete);
+        EXPECT_EQ(scenario::CheckResultValidity(bsbf.store(), kN, window,
+                                                query, k, got),
+                  "");
+        if (exact) {
+          EXPECT_EQ(DiffAnswers(got, whole), "");
+        } else {
+          // Algorithm 2 with R never full walks every vertex it reaches.
+          EXPECT_GE(got.size(), in_window - in_window / 10);
+        }
+      }
+    }
+  }
 }
 
 TEST_F(DuplicateTimestampFixture, GraphKindRespectsDuplicateWindows) {

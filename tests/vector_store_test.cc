@@ -1,9 +1,18 @@
 // VectorStore: append ordering, timestamp binary search, range windows.
 
+#include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#ifdef __linux__
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 #include "core/vector_store.h"
 
@@ -128,6 +137,41 @@ TEST(VectorStoreTest, MemoryBytesCountsDataAndTimestamps) {
   std::vector<float> v = {1, 2, 3, 4};
   ASSERT_TRUE(store.Append(v.data(), 0).ok());
   EXPECT_EQ(store.MemoryBytes(), 4 * sizeof(float) + sizeof(Timestamp));
+}
+
+TEST(VectorStoreTest, UnfilledChunkCapacityStaysUnresident) {
+#ifdef __linux__
+  // One 64 MiB chunk (16,384 rows of 1,024 floats) holding one row. Above
+  // glibc's 32 MiB ceiling for its dynamic mmap threshold, so the chunk is
+  // always a fresh mapping and recycled heap pages cannot hide a zero-fill.
+  constexpr size_t kDim = 1024;
+  constexpr size_t kRows = 16384;
+  VectorStore store(kDim, Metric::kL2, kRows);
+  const std::vector<float> row(kDim, 1.0f);
+  ASSERT_TRUE(store.Append(row.data(), 0).ok());
+
+  const uintptr_t page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const uintptr_t chunk = reinterpret_cast<uintptr_t>(store.GetVector(0));
+  const uintptr_t begin = (chunk + page - 1) / page * page;
+  const uintptr_t end = (chunk + kRows * kDim * sizeof(float)) / page * page;
+  std::vector<unsigned char> resident((end - begin) / page);
+  ASSERT_EQ(::mincore(reinterpret_cast<void*>(begin), end - begin,
+                      resident.data()),
+            0);
+  size_t count = 0;
+  for (const unsigned char r : resident) count += r & 1;
+  // The row's own pages, plus room for a sanitizer's malloc fill (ASan
+  // writes the first 4 KiB). With transparent huge pages set to "always"
+  // the kernel may back the row with up to two 2 MiB huge pages.
+  std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+  const std::string policy{std::istreambuf_iterator<char>(thp), {}};
+  const size_t huge = policy.find("[always]") != std::string::npos
+                          ? 2 * (size_t{2} << 20) / page
+                          : 0;
+  EXPECT_LE(count, 16 + huge) << "of " << resident.size() << " pages";
+#else
+  GTEST_SKIP() << "mincore is Linux-only here";
+#endif
 }
 
 TEST(VectorStoreTest, ReadsAcrossManyChunksAreCorrect) {
