@@ -11,12 +11,15 @@
 //   5. quarantine + recover  — the dead shard is checkpoint-revived and
 //                              full coverage returns
 //
-// Faults are injected through the ShardFaultInjector seam; with
-// num_search_threads = 0 the fan-out is serial and injected delays are
-// simulated, so the output is deterministic.
+// Faults are injected through the ShardFaultInjector seam. Injected delays
+// and backoff are simulated, never slept, so the output is deterministic,
+// and it is the same at every num_search_threads: the pool here only
+// spreads the shard probes over four threads.
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -101,6 +104,7 @@ int main() {
   params.hedge_delay_seconds = 0.005;
   params.backoff.max_retries = 2;
   params.backoff.initial_seconds = 0.001;
+  params.num_search_threads = 4;
   ShardedMbi index(kDim, Metric::kL2, params);
 
   auto injector = std::make_shared<SlowShardInjector>(kRows / kSpan);
@@ -145,11 +149,16 @@ int main() {
   RunQuery(index, q, all, search, "shard 1 dead -> degraded 3/4 coverage");
 
   // 5. Checkpoint-revive the quarantined shard (its in-RAM state is intact)
-  //    and full coverage returns.
-  const std::string dir = "/tmp/mbi_sharded_search_example";
+  //    and full coverage returns. Checkpoint reuses segment files already
+  //    in the directory, so start from an empty one.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "mbi_sharded_search_example")
+          .string();
+  std::filesystem::remove_all(dir);
   MBI_CHECK_OK(index.CheckpointShard(1, dir));
   MBI_CHECK_OK(index.RecoverShard(1, dir));
   RunQuery(index, q, all, search, "shard 1 recovered -> full coverage");
 
+  std::filesystem::remove_all(dir);
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "mbi/mbi_index.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "index/flat_block_index.h"
 #include "obs/metrics.h"
@@ -549,17 +550,20 @@ SearchResult MbiIndex::SearchView(const ReadView& view, const float* query,
           qrange.size() > 0
               ? static_cast<double>(block_in_window) / qrange.size()
               : 1.0;
+      // Saturating: 2k wraps for k >= 2^63.
+      const size_t twice_k =
+          search.k > SIZE_MAX / 2 ? SIZE_MAX : 2 * search.k;
       block_search.max_candidates = std::max<size_t>(
-          2 * search.k,
-          static_cast<size_t>(search.max_candidates * share + 0.5));
+          twice_k, static_cast<size_t>(search.max_candidates * share + 0.5));
 
       // Exact-scan fallback: when few in-window vectors fall inside this
       // block, a scan costs fewer distance evaluations than the graph
       // search (which touches ~M_C * degree vectors) and is always exact.
+      // The min is taken unsigned, so a pool of SIZE_MAX stays positive.
       const double graph_cost =
-          static_cast<double>(std::min<int64_t>(
-              sel.range.size(),
-              static_cast<int64_t>(block_search.max_candidates))) *
+          static_cast<double>(
+              std::min(static_cast<size_t>(sel.range.size()),
+                       block_search.max_candidates)) *
           static_cast<double>(params_.build.degree);
       if (static_cast<double>(block_in_window) <= graph_cost) {
         use_graph = false;

@@ -301,8 +301,17 @@ class MbiIndex {
   /// segments and valid clean prefix of the tail log, then re-runs the merge
   /// cascades for the tail — deterministic builds make the result bit-exact
   /// with the pre-crash index. Corruption yields a clean non-OK Status.
+  ///
+  /// The manifest stores what defines the index: dim, metric, leaf_size,
+  /// tau, block kind and build parameters. The settings of a running
+  /// instance are not stored: adaptive_block_search, max_inflight_queries,
+  /// shed_retry_after_seconds, max_blocks_per_add and num_threads come from
+  /// `running` when it is given (its other fields are ignored), and are the
+  /// defaults otherwise. They apply after the tail replay, which builds
+  /// every block of its cascades on the calling thread.
   static Result<std::unique_ptr<MbiIndex>> Recover(
-      const std::string& dir, persist::FileSystem* fs = nullptr);
+      const std::string& dir, persist::FileSystem* fs = nullptr,
+      const MbiParams* running = nullptr);
 
  private:
   friend class MbiIo;  // serialization helper

@@ -26,6 +26,7 @@
 #include "persist/checkpoint.h"
 #include "persist/log.h"
 #include "util/io.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace mbi {
@@ -285,7 +286,8 @@ class MbiIo {
   static Status Checkpoint(const MbiIndex& index, const std::string& dir,
                            persist::FileSystem* fs);
   static Result<std::unique_ptr<MbiIndex>> Recover(const std::string& dir,
-                                                   persist::FileSystem* fs);
+                                                   persist::FileSystem* fs,
+                                                   const MbiParams* running);
 };
 
 // ---------------------------------------------------------------------------
@@ -443,11 +445,21 @@ Status MbiIndex::Checkpoint(const std::string& dir,
 // Recover
 
 Result<std::unique_ptr<MbiIndex>> MbiIo::Recover(const std::string& dir,
-                                                 persist::FileSystem* fs) {
+                                                 persist::FileSystem* fs,
+                                                 const MbiParams* running) {
   ManifestData manifest;
   MBI_RETURN_IF_ERROR(ReadManifest(fs, dir + "/MANIFEST", &manifest));
   const IndexHeader& h = manifest.header;
   const int64_t L = h.params.leaf_size;
+  MbiParams params = h.params;
+  if (running != nullptr) {
+    params.adaptive_block_search = running->adaptive_block_search;
+    params.max_inflight_queries = running->max_inflight_queries;
+    params.shed_retry_after_seconds = running->shed_retry_after_seconds;
+    params.max_blocks_per_add = running->max_blocks_per_add;
+    params.num_threads = running->num_threads;
+    MBI_RETURN_IF_ERROR(params.Validate());
+  }
   auto index = std::make_unique<MbiIndex>(
       h.dim, static_cast<Metric>(h.metric_raw), h.params);
 
@@ -524,14 +536,22 @@ Result<std::unique_ptr<MbiIndex>> MbiIo::Recover(const std::string& dir,
         std::to_string(index->size()) + " of " +
         std::to_string(manifest.num_vectors) + " vectors");
   }
+  // The running settings apply only now: the replay above ran every
+  // cascade's builds to the end on this thread, whatever ingest cap and
+  // thread count the caller runs with.
+  index->params_ = params;
+  if (params.num_threads > 1) {
+    index->pool_ = std::make_unique<ThreadPool>(params.num_threads);
+  }
   return Result<std::unique_ptr<MbiIndex>>(std::move(index));
 }
 
 Result<std::unique_ptr<MbiIndex>> MbiIndex::Recover(const std::string& dir,
-                                                    persist::FileSystem* fs) {
+                                                    persist::FileSystem* fs,
+                                                    const MbiParams* running) {
   if (fs == nullptr) fs = persist::FileSystem::Posix();
   WallTimer timer;
-  auto result = MbiIo::Recover(dir, fs);
+  auto result = MbiIo::Recover(dir, fs, running);
   const PersistMetrics& m = PersistMetrics::Get();
   if (result.ok()) {
     m.recovers->Increment();

@@ -175,8 +175,7 @@ ScenarioSpec BaseShardSpec(const std::string& name, uint64_t seed) {
   spec.dim = 8;
   spec.index.leaf_size = 32;
   spec.index.block_kind = BlockIndexKind::kFlat;
-  // Concurrent runs sleep injected delays for real: keep them short but
-  // past the hedge threshold.
+  // The brownout delay (SetBrownout) stays past the hedge threshold.
   spec.sharded.hedge_delay_seconds = 0.002;
   spec.sharded.backoff.max_retries = 2;
   spec.sharded.backoff.initial_seconds = 0.0005;

@@ -11,17 +11,19 @@
 //     fingerprints match bit for bit. Budget classes map to work caps (the
 //     deterministic analog of deadlines); a seed-derived slice of budgeted
 //     queries instead carries an already-expired virtual-clock deadline to
-//     exercise the deadline path deterministically. Sharded fan-out is
-//     serial, with injected probe delays simulated rather than slept.
+//     exercise the deadline path deterministically. Sharded fan-out runs
+//     at the spec's num_search_threads; injected probe delays are simulated
+//     at every width, so every width logs the same events.
 //
 //   kConcurrent — a writer (the driver thread) races N reader threads
 //     issuing admitted, deadline-bounded queries, a checkpointer thread
 //     snapshotting mid-ingest, and optional overload bursts past the
 //     admission limit; scripted MbiIndex crash points quiesce the threads,
 //     kill the index, recover from the checkpoint directory and resume.
-//     Sharded runs fan out on a pool with real injected delays and sheds,
-//     and the fault shard's checkpoint -> crash -> recover cycle races the
-//     readers of a query-only phase. Per-result validity (I4) is checked
+//     Sharded runs fan out on a pool of at least four threads under the
+//     brownout's injected delays and sheds, and the fault shard's
+//     checkpoint -> crash -> recover cycle races the readers of a
+//     query-only phase. Per-result validity (I4) is checked
 //     inline on every reader; aggregate invariants (recall floor, p99
 //     overshoot, counter consistency, admission bound) at end of run. This
 //     is the TSan soak target.

@@ -91,7 +91,8 @@ class MbiTarget final : public Target {
   // Reboot: recover from whatever is durably on disk, through the real FS.
   void Repair() override {
     const size_t acked = acked_at_crash_;
-    Result<std::unique_ptr<MbiIndex>> rec = MbiIndex::Recover(run_->work_dir);
+    Result<std::unique_ptr<MbiIndex>> rec =
+        MbiIndex::Recover(run_->work_dir, nullptr, &run_->spec.index);
     if (rec.ok()) {
       index_ = std::move(rec).value();
       run_->CheckRecovered(index_->store(), 0, acked);
@@ -211,9 +212,12 @@ class ShardedTarget final : public Target {
                                                      run->spec.fault_shard)) {
     shard::ShardedMbiParams params = run->spec.sharded;
     params.shard = run->spec.index;
-    // Serial fan-out replays bit for bit; the pool is the concurrent point.
-    params.num_search_threads =
-        run->concurrent() ? std::max<size_t>(params.num_search_threads, 4) : 0;
+    // Every fan-out width replays bit for bit; concurrent runs race the
+    // pool.
+    if (run->concurrent()) {
+      params.num_search_threads =
+          std::max<size_t>(params.num_search_threads, 4);
+    }
     fleet_ = std::make_unique<shard::ShardedMbi>(run->spec.dim,
                                                  run->spec.metric, params);
     fleet_->SetFaultInjectorForTesting(injector_);
@@ -375,10 +379,7 @@ class ShardedTarget final : public Target {
     epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  // Straggler probes outlive their query on the pool, so the deltas are
-  // exact only under serial fan-out.
   std::vector<CounterCheck> Counters(const Tally& t) const override {
-    if (run_->concurrent()) return {};
     return {
         {"mbi_shard_hedges_total", t.hedges},
         {"mbi_shard_retries_total", t.retries},

@@ -1,10 +1,8 @@
 #include "shard/sharded_mbi.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <limits>
-#include <thread>
+#include <exception>
 #include <unordered_set>
 #include <utility>
 
@@ -13,7 +11,6 @@
 #include "obs/metrics.h"
 #include "util/budget.h"
 #include "util/check.h"
-#include "util/clock.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -67,6 +64,39 @@ struct ShardMetrics {
 bool IsQuarantiningCode(StatusCode code) {
   return code == StatusCode::kDataLoss || code == StatusCode::kUnavailable;
 }
+
+// One query's count of probes still to finish. The last CountDown wakes the
+// query, its only waiter. Wait returns at zero and rethrows the first
+// exception a probe raised, so a throwing probe fails its query the same way
+// at every thread count.
+class ProbeLatch {
+ public:
+  explicit ProbeLatch(size_t count) : count_(count) {}
+
+  void CountDown(std::exception_ptr error) MBI_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (error_ == nullptr) error_ = std::move(error);
+    // Notify under the lock: the waiter owns the latch and may destroy it as
+    // soon as it sees zero.
+    if (--count_ == 0) zero_.NotifyOne();
+  }
+
+  void Wait() MBI_EXCLUDES(mu_) {
+    std::exception_ptr error;
+    {
+      MutexLock lock(mu_);
+      while (count_ != 0) zero_.Wait(mu_);
+      error = std::move(error_);
+    }
+    if (error != nullptr) std::rethrow_exception(error);
+  }
+
+ private:
+  Mutex mu_;
+  CondVar zero_;
+  size_t count_ MBI_GUARDED_BY(mu_);
+  std::exception_ptr error_ MBI_GUARDED_BY(mu_);
+};
 
 }  // namespace
 
@@ -339,7 +369,8 @@ Status ShardedMbi::RecoverShard(size_t i, const std::string& dir,
       return Status::OutOfRange("no shard " + std::to_string(i));
     }
   }
-  Result<std::unique_ptr<MbiIndex>> recovered = MbiIndex::Recover(dir, fs);
+  Result<std::unique_ptr<MbiIndex>> recovered =
+      MbiIndex::Recover(dir, fs, &params_.shard);
   if (!recovered.ok()) {
     // A shard that cannot come back is a fault domain, not a process
     // failure: quarantine it so queries degrade around the hole, and let a
@@ -373,59 +404,29 @@ struct ShardedMbi::GatherSlot {
   bool quarantined = false;  // skipped: shard was out of rotation
   bool ok = false;
   bool hedged = false;
-  bool deadline_missed = false;
   uint32_t attempts = 0;
   uint32_t retries = 0;
   double latency_seconds = 0.0;
   Status failure;
   std::vector<SearchResult> parts;  // OK chain results, global ids
-
-  // Concurrent-mode bookkeeping (guarded by GatherState::mu).
-  uint32_t chains_running = 0;
-  bool done = false;
-};
-
-// Heap-allocated per-query state shared with pool probes. Stragglers that
-// resolve after the query's deadline write into this (harmlessly) instead of
-// into the caller's stack frame.
-struct ShardedMbi::GatherState {
-  Mutex mu;
-  CondVar cv;
-  std::vector<float> query;
-  TimeWindow window;
-  SearchParams search;      // child params; budget points at `budget` below
-  QueryBudget budget;       // sliced child budget (value-owned for stragglers)
-  bool has_budget = false;
-  uint64_t query_seed = 0;
-  int64_t start_nanos = 0;
-  std::vector<ShardRef> refs;
-  std::vector<GatherSlot> slots MBI_GUARDED_BY(mu);
-  size_t pending MBI_GUARDED_BY(mu) = 0;
 };
 
 ShardedMbi::ProbeOutcome ShardedMbi::ProbeOnce(
     const ShardRef& ref, const float* query, const TimeWindow& window,
     const SearchParams& search, uint64_t query_seed, uint32_t attempt,
-    bool sleep_injected,
     const std::shared_ptr<ShardFaultInjector>& injector) const {
   const ShardMetrics& metrics = ShardMetrics::Get();
   metrics.probes->Increment();
   WallTimer timer;
-  // Observed probe latency = real elapsed plus whatever injected delay was
-  // simulated rather than slept (serial mode).
+  // Observed probe latency = real elapsed plus the simulated injected delay.
   auto observe = [&](const ProbeOutcome& o) {
     metrics.probe_seconds->Observe(timer.ElapsedSeconds() +
-                                   (sleep_injected ? 0.0
-                                                   : o.injected_seconds));
+                                   o.injected_seconds);
   };
   ProbeOutcome out;
   if (injector != nullptr) {
     ShardProbeFault fault = injector->OnProbe(ref.shard_index, attempt);
     out.injected_seconds = fault.delay_seconds;
-    if (sleep_injected && fault.delay_seconds > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(fault.delay_seconds));
-    }
     if (!fault.status.ok()) {
       out.status = std::move(fault.status);
       observe(out);
@@ -456,14 +457,13 @@ ShardedMbi::ProbeOutcome ShardedMbi::ProbeOnce(
 ShardedMbi::ChainOutcome ShardedMbi::RunChain(
     const ShardRef& ref, const float* query, const TimeWindow& window,
     const SearchParams& search, uint64_t query_seed, uint32_t attempt_base,
-    bool real_time,
     const std::shared_ptr<ShardFaultInjector>& injector) const {
   const ShardMetrics& metrics = ShardMetrics::Get();
   ChainOutcome out;
   uint32_t attempt = attempt_base;
   while (true) {
     ProbeOutcome probe = ProbeOnce(ref, query, window, search, query_seed,
-                                   attempt, real_time, injector);
+                                   attempt, injector);
     ++out.attempts;
     out.simulated_seconds += probe.injected_seconds;
     if (probe.status.ok()) {
@@ -483,198 +483,56 @@ ShardedMbi::ChainOutcome ShardedMbi::RunChain(
     const double hint = out.final_status.has_retry_after()
                             ? out.final_status.retry_after_seconds()
                             : -1.0;
-    const double delay = params_.backoff.DelaySeconds(
+    out.simulated_seconds += params_.backoff.DelaySeconds(
         out.retries, hint,
         DeriveSeedStream(query_seed,
                          "backoff/" + std::to_string(ref.shard_index) + "/" +
                              std::to_string(attempt)));
     ++out.retries;
     metrics.retries->Increment();
-    if (real_time) {
-      double sleep_s = delay;
-      if (search.budget != nullptr) {
-        sleep_s = std::min(sleep_s,
-                           search.budget->deadline.RemainingSeconds());
-      }
-      if (sleep_s > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
-      }
-    }
-    out.simulated_seconds += delay;
     ++attempt;
   }
 }
 
-void ShardedMbi::GatherSerial(
-    const std::vector<ShardRef>& selected, const float* query,
-    const TimeWindow& window, const SearchParams& search, uint64_t query_seed,
-    const std::shared_ptr<ShardFaultInjector>& injector,
-    std::vector<GatherSlot>* slots) const {
-  const ShardMetrics& metrics = ShardMetrics::Get();
-  slots->resize(selected.size());
-  for (size_t s = 0; s < selected.size(); ++s) {
-    const ShardRef& ref = selected[s];
-    GatherSlot& slot = (*slots)[s];
-    slot.shard_index = ref.shard_index;
-    if (!ref.healthy) {
-      slot.quarantined = true;
-      slot.failure = ref.fault;
-      continue;
+void ShardedMbi::Gather(const ShardRef& ref, const float* query,
+                        const TimeWindow& window, const SearchParams& search,
+                        uint64_t query_seed,
+                        const std::shared_ptr<ShardFaultInjector>& injector,
+                        GatherSlot* slot) const {
+  ChainOutcome primary = RunChain(ref, query, window, search, query_seed,
+                                  /*attempt_base=*/0, injector);
+  slot->attempts += primary.attempts;
+  slot->retries += primary.retries;
+  if (primary.ok) {
+    slot->parts.push_back(std::move(primary.result));
+  } else {
+    slot->failure = primary.final_status;
+    if (IsQuarantiningCode(primary.final_status.code())) {
+      QuarantineOnFault(ref.shard_index, primary.final_status);
     }
-    ChainOutcome primary = RunChain(ref, query, window, search, query_seed,
-                                    /*attempt_base=*/0, /*real_time=*/false,
-                                    injector);
-    slot.attempts += primary.attempts;
-    slot.retries += primary.retries;
-    if (primary.ok) {
-      slot.parts.push_back(std::move(primary.result));
-    } else {
-      slot.failure = primary.final_status;
-      if (IsQuarantiningCode(primary.final_status.code())) {
-        QuarantineOnFault(ref.shard_index, primary.final_status);
-      }
-    }
-    double latency = primary.simulated_seconds;
-    // Deterministic hedging: in real time the primary would still be
-    // unresolved when the hedge timer fires, so any primary chain whose
-    // simulated latency crosses the threshold gets its backup probe.
-    if (primary.simulated_seconds >= params_.hedge_delay_seconds) {
-      slot.hedged = true;
-      metrics.hedges->Increment();
-      ChainOutcome hedge = RunChain(ref, query, window, search, query_seed,
-                                    kHedgeAttemptBase, /*real_time=*/false,
-                                    injector);
-      slot.attempts += hedge.attempts;
-      slot.retries += hedge.retries;
-      if (hedge.ok) {
-        const double hedge_latency =
-            params_.hedge_delay_seconds + hedge.simulated_seconds;
-        latency = primary.ok ? std::min(latency, hedge_latency)
-                             : hedge_latency;
-        slot.parts.push_back(std::move(hedge.result));
-      } else if (!primary.ok &&
-                 IsQuarantiningCode(hedge.final_status.code())) {
-        QuarantineOnFault(ref.shard_index, hedge.final_status);
-      }
-    }
-    slot.ok = !slot.parts.empty();
-    slot.latency_seconds = latency;
   }
-}
-
-void ShardedMbi::GatherConcurrent(
-    const std::vector<ShardRef>& selected, const float* query,
-    const TimeWindow& window, const SearchParams& search, uint64_t query_seed,
-    const std::shared_ptr<ShardFaultInjector>& injector,
-    std::vector<GatherSlot>* slots) const {
-  const ShardMetrics& metrics = ShardMetrics::Get();
-  auto state = std::make_shared<GatherState>();
-  state->query.assign(query, query + dim_);
-  state->window = window;
-  state->search = search;
-  state->has_budget = search.budget != nullptr;
-  if (state->has_budget) {
-    // Value-copy the (already sliced) child budget: straggler probes may
-    // outlive the caller's stack frame, so they must not dereference the
-    // caller-owned budget.
-    state->budget = *search.budget;
-    state->search.budget = &state->budget;
+  double latency = primary.simulated_seconds;
+  // In real time the primary would still be unresolved when the hedge timer
+  // fires, so any primary chain whose simulated latency reaches the
+  // threshold gets its backup probe.
+  if (primary.simulated_seconds >= params_.hedge_delay_seconds) {
+    slot->hedged = true;
+    ShardMetrics::Get().hedges->Increment();
+    ChainOutcome hedge = RunChain(ref, query, window, search, query_seed,
+                                  kHedgeAttemptBase, injector);
+    slot->attempts += hedge.attempts;
+    slot->retries += hedge.retries;
+    if (hedge.ok) {
+      const double hedge_latency =
+          params_.hedge_delay_seconds + hedge.simulated_seconds;
+      latency = primary.ok ? std::min(latency, hedge_latency) : hedge_latency;
+      slot->parts.push_back(std::move(hedge.result));
+    } else if (!primary.ok && IsQuarantiningCode(hedge.final_status.code())) {
+      QuarantineOnFault(ref.shard_index, hedge.final_status);
+    }
   }
-  state->query_seed = query_seed;
-  state->start_nanos = NowNanos();
-  state->refs = selected;
-
-  auto run_chain_task = [this, state, injector](size_t s,
-                                                uint32_t attempt_base) {
-    const ShardRef& ref = state->refs[s];
-    ChainOutcome out =
-        RunChain(ref, state->query.data(), state->window, state->search,
-                 state->query_seed, attempt_base, /*real_time=*/true,
-                 injector);
-    if (!out.ok && IsQuarantiningCode(out.final_status.code())) {
-      QuarantineOnFault(ref.shard_index, out.final_status);
-    }
-    MutexLock lock(state->mu);
-    GatherSlot& slot = state->slots[s];
-    slot.attempts += out.attempts;
-    slot.retries += out.retries;
-    if (out.ok) {
-      slot.parts.push_back(std::move(out.result));
-    } else {
-      slot.failure = out.final_status;
-    }
-    --slot.chains_running;
-    if (!slot.done && (out.ok || slot.chains_running == 0)) {
-      slot.done = true;
-      slot.ok = !slot.parts.empty();
-      slot.latency_seconds =
-          static_cast<double>(NowNanos() - state->start_nanos) * 1e-9;
-      --state->pending;
-    }
-    state->cv.NotifyAll();
-  };
-
-  {
-    MutexLock lock(state->mu);
-    state->slots.resize(selected.size());
-    for (size_t s = 0; s < selected.size(); ++s) {
-      GatherSlot& slot = state->slots[s];
-      slot.shard_index = selected[s].shard_index;
-      if (!selected[s].healthy) {
-        slot.quarantined = true;
-        slot.failure = selected[s].fault;
-        slot.done = true;
-        continue;
-      }
-      ++state->pending;
-      ++slot.chains_running;
-      pool_->Submit([run_chain_task, s] { run_chain_task(s, 0); });
-    }
-
-    bool hedges_launched = false;
-    while (state->pending > 0) {
-      double remaining = std::numeric_limits<double>::infinity();
-      if (state->has_budget) {
-        remaining = state->budget.deadline.RemainingSeconds();
-        if (remaining <= 0.0) break;
-      }
-      if (!hedges_launched) {
-        const double elapsed =
-            static_cast<double>(NowNanos() - state->start_nanos) * 1e-9;
-        const double until_hedge = params_.hedge_delay_seconds - elapsed;
-        if (until_hedge <= 0.0) {
-          for (size_t s = 0; s < state->slots.size(); ++s) {
-            GatherSlot& slot = state->slots[s];
-            if (slot.done || slot.chains_running == 0) continue;
-            slot.hedged = true;
-            ++slot.chains_running;
-            metrics.hedges->Increment();
-            pool_->Submit(
-                [run_chain_task, s] { run_chain_task(s, kHedgeAttemptBase); });
-          }
-          hedges_launched = true;
-          continue;
-        }
-        state->cv.WaitFor(state->mu,
-                          std::min({until_hedge, remaining, 60.0}));
-      } else {
-        state->cv.WaitFor(state->mu, std::min(remaining, 60.0));
-      }
-    }
-
-    // Slots still pending missed the deadline: record the gap and leave the
-    // stragglers to resolve against the shared state after we return.
-    for (GatherSlot& slot : state->slots) {
-      if (!slot.done) {
-        slot.done = true;
-        slot.deadline_missed = true;
-        slot.failure = Status::Unavailable(
-            "shard probe unresolved when the query deadline expired");
-        --state->pending;
-      }
-    }
-    *slots = state->slots;
-  }
+  slot->ok = !slot->parts.empty();
+  slot->latency_seconds = latency;
 }
 
 Result<SearchResult> ShardedMbi::Search(const float* query,
@@ -732,14 +590,25 @@ Result<SearchResult> ShardedMbi::Search(const float* query,
     return empty;
   }
 
+  // One slot per selected shard; a quarantined shard is skipped, not probed.
+  std::vector<GatherSlot> slots(selected.size());
+  std::vector<size_t> healthy;
+  for (size_t s = 0; s < selected.size(); ++s) {
+    slots[s].shard_index = selected[s].shard_index;
+    if (selected[s].healthy) {
+      healthy.push_back(s);
+    } else {
+      slots[s].quarantined = true;
+      slots[s].failure = selected[s].fault;
+    }
+  }
+
   // Slice the caller's budget across the healthy fan-out: shared deadline
   // and cancellation, divided work caps.
-  size_t healthy = 0;
-  for (const ShardRef& ref : selected) healthy += ref.healthy ? 1 : 0;
   QueryBudget child;
   SearchParams child_params = search;
   if (search.budget != nullptr) {
-    child = search.budget->Slice(std::max<size_t>(healthy, 1));
+    child = search.budget->Slice(std::max<size_t>(healthy.size(), 1));
     child_params.budget = &child;
   }
 
@@ -748,14 +617,30 @@ Result<SearchResult> ShardedMbi::Search(const float* query,
   // schedule reproduces the fan-out bit for bit.
   const uint64_t query_seed = ctx->rng()->Next();
 
-  std::vector<GatherSlot> slots;
-  if (pool_ != nullptr) {
-    GatherConcurrent(selected, query, window, child_params, query_seed,
-                     injector, &slots);
-  } else {
-    GatherSerial(selected, query, window, child_params, query_seed, injector,
-                 &slots);
+  // Fan-out: each healthy shard runs the one Gather body, so every thread
+  // count gives the same answers. With a pool, every shard but the last runs
+  // there and the caller runs the last itself. The merge waits until every
+  // probe has finished, so probes may use this frame.
+  ProbeLatch latch(healthy.size());
+  auto gather = [&](size_t s) {
+    std::exception_ptr error;
+    try {
+      Gather(selected[s], query, window, child_params, query_seed, injector,
+             &slots[s]);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    latch.CountDown(std::move(error));
+  };
+  for (size_t i = 0; i < healthy.size(); ++i) {
+    const size_t s = healthy[i];
+    if (pool_ != nullptr && i + 1 < healthy.size()) {
+      pool_->Submit([&gather, s] { gather(s); });
+    } else {
+      gather(s);
+    }
   }
+  latch.Wait();
 
   // Merge with duplicate suppression, then derive the completion contract.
   std::vector<const SearchResult*> parts;
@@ -766,31 +651,25 @@ Result<SearchResult> ShardedMbi::Search(const float* query,
   SearchResult merged = MergeShardResults(search.k, parts);
   merged.shards_total = static_cast<uint32_t>(slots.size());
   size_t ok_count = 0;
-  bool all_missing_were_deadline = true;
   bool any_part_degraded = false;
   DegradeReason part_reason = DegradeReason::kNone;
   size_t blocks_skipped = 0;
   for (const GatherSlot& slot : slots) {
-    if (slot.ok) {
-      ++ok_count;
-      for (const SearchResult& part : slot.parts) {
-        blocks_skipped += part.blocks_skipped;
-        if (part.degraded() && !any_part_degraded) {
-          any_part_degraded = true;
-          part_reason = part.degrade_reason;
-        }
+    if (!slot.ok) continue;
+    ++ok_count;
+    for (const SearchResult& part : slot.parts) {
+      blocks_skipped += part.blocks_skipped;
+      if (part.degraded() && !any_part_degraded) {
+        any_part_degraded = true;
+        part_reason = part.degrade_reason;
       }
-    } else if (!slot.deadline_missed) {
-      all_missing_were_deadline = false;
     }
   }
   merged.shards_ok = static_cast<uint32_t>(ok_count);
   merged.blocks_skipped = blocks_skipped;
   if (ok_count < slots.size()) {
     merged.completion = Completion::kDegraded;
-    merged.degrade_reason = all_missing_were_deadline
-                                ? DegradeReason::kDeadlineExceeded
-                                : DegradeReason::kShardUnavailable;
+    merged.degrade_reason = DegradeReason::kShardUnavailable;
     metrics.partial_results->Increment();
   } else if (any_part_degraded) {
     merged.completion = Completion::kDegraded;

@@ -38,10 +38,12 @@
 //
 // Concurrency contract: one writer thread (Add/AddBatch/AppendToShard /
 // CheckpointShard / RecoverShard) against any number of Search threads,
-// mirroring MbiIndex. With num_search_threads >= 2 the fan-out runs on an
-// internal pool; straggler probes may outlive their query (the query returns
-// at its deadline; the probe finishes against shared state and is ignored)
-// but never the index (probes pin their shard by shared_ptr).
+// mirroring MbiIndex. Every query runs one fan-out body per shard, with
+// injected delays and backoff simulated, never slept; num_search_threads
+// >= 2 only spreads those bodies over an internal pool, so every thread
+// count gives the same answers, hedges, retries and traces. Search returns
+// after all of its probes have finished; a probe pins its shard by
+// shared_ptr, so a concurrent RecoverShard swap is invisible to it.
 
 #ifndef MBI_SHARD_SHARDED_MBI_H_
 #define MBI_SHARD_SHARDED_MBI_H_
@@ -80,10 +82,10 @@ struct ShardedMbiParams {
   /// Parameters applied to every shard's MbiIndex.
   MbiParams shard;
 
-  /// Fan-out parallelism: >= 2 probes shards on an internal thread pool
-  /// with real hedging races; 0/1 probes shards serially on the caller's
-  /// thread (deterministic — the mode scenario replay uses, where injected
-  /// probe delays are simulated rather than slept).
+  /// Fan-out width: >= 2 probes shards on an internal pool of this many
+  /// threads, with the caller probing one shard itself; 0/1 probes them one
+  /// after another on the caller's thread. Only the speed differs: answers,
+  /// hedges, retries and traces are the same at every width.
   size_t num_search_threads = 0;
 
   /// Hedged retries: when a shard's probe has not resolved after
@@ -108,8 +110,9 @@ struct ShardedMbiParams {
 /// is a healthy, instant probe.
 struct ShardProbeFault {
   Status status;               ///< non-OK: the probe fails with this status
-  double delay_seconds = 0.0;  ///< added probe latency (slept in concurrent
-                               ///< mode, simulated in serial mode)
+  double delay_seconds = 0.0;  ///< added probe latency, simulated: it counts
+                               ///< toward hedging and the trace but is never
+                               ///< slept
 };
 
 /// Hedge probes report attempt numbers starting here; primary-chain
@@ -117,7 +120,8 @@ struct ShardProbeFault {
 inline constexpr uint32_t kHedgeAttemptBase = 100;
 
 /// Test/scenario seam: consulted before every shard probe. Implementations
-/// must be thread-safe (concurrent mode probes from pool workers).
+/// must be thread-safe (pooled fan-out probes from pool workers). One shard's
+/// probes of one query are consulted in order, primary chain then hedge.
 class ShardFaultInjector {
  public:
   virtual ~ShardFaultInjector() = default;
@@ -133,8 +137,8 @@ struct ShardQueryTrace {
     bool hedged = false;         ///< a backup probe was launched
     bool ok = false;             ///< the shard contributed to the merge
     bool quarantined = false;    ///< skipped: shard was out of rotation
-    double latency_seconds = 0.0;  ///< winning-chain latency (simulated in
-                                   ///< serial mode)
+    double latency_seconds = 0.0;  ///< winning-chain latency: simulated
+                                   ///< injected delays and backoff
     std::string error;           ///< final status when !ok
   };
 
@@ -183,7 +187,7 @@ class ShardedMbi {
       MBI_EXCLUDES(mu_);
 
   /// Scatter-gather TkNN: prunes shards by window overlap, probes the
-  /// survivors (serially or on the pool) with per-shard child budgets
+  /// survivors (in turn or on the pool) with per-shard child budgets
   /// sliced from search.budget, and k-way-merges with duplicate
   /// suppression. Errors only on invalid input or when coverage falls
   /// below min_result_coverage; shard faults otherwise degrade the result,
@@ -241,10 +245,13 @@ class ShardedMbi {
       MBI_EXCLUDES(mu_);
 
   /// Replaces shard i with the state recovered from `dir` and returns it to
-  /// rotation. On failure the shard is quarantined with the recovery error
-  /// (kDataLoss/kUnavailable) so queries degrade around it; a later retry
-  /// with a healthy directory revives it. In-flight probes of the old index
-  /// finish safely against their pinned instance.
+  /// rotation. The revived shard runs with params().shard's admission
+  /// limit, shed hint, ingest cap, threads and adaptive policy, which
+  /// MbiIndex::Recover takes from its caller. On failure the shard is
+  /// quarantined with the recovery error (kDataLoss/kUnavailable) so
+  /// queries degrade around it; a later retry with a healthy directory
+  /// revives it. In-flight probes of the old index finish safely against
+  /// their pinned instance.
   Status RecoverShard(size_t i, const std::string& dir,
                       persist::FileSystem* fs = nullptr) MBI_EXCLUDES(mu_);
 
@@ -278,7 +285,7 @@ class ShardedMbi {
   };
 
   /// One probe's outcome: a (global-id) result or a failure, plus the
-  /// latency the injector imposed (simulated in serial mode).
+  /// simulated latency the injector imposed.
   struct ProbeOutcome {
     Status status;
     SearchResult result;
@@ -292,45 +299,34 @@ class ShardedMbi {
     Status final_status;
     uint32_t attempts = 0;
     uint32_t retries = 0;
-    double simulated_seconds = 0.0;  // injected delays + backoff sleeps
+    double simulated_seconds = 0.0;  // injected delays + backoff waits
   };
 
   struct GatherSlot;
-  struct GatherState;
 
   ProbeOutcome ProbeOnce(const ShardRef& ref, const float* query,
                          const TimeWindow& window, const SearchParams& search,
                          uint64_t query_seed, uint32_t attempt,
-                         bool sleep_injected,
                          const std::shared_ptr<ShardFaultInjector>& injector)
       const;
 
   ChainOutcome RunChain(const ShardRef& ref, const float* query,
                         const TimeWindow& window, const SearchParams& search,
                         uint64_t query_seed, uint32_t attempt_base,
-                        bool real_time,
                         const std::shared_ptr<ShardFaultInjector>& injector)
       const;
 
   void QuarantineOnFault(size_t shard_index, const Status& status) const
       MBI_EXCLUDES(mu_);
 
-  /// Serial fan-out: probes shards in order on the caller's thread;
-  /// injected delays are simulated, and a hedge fires when the primary
-  /// chain's simulated latency crosses hedge_delay_seconds.
-  void GatherSerial(const std::vector<ShardRef>& selected, const float* query,
-                    const TimeWindow& window, const SearchParams& search,
-                    uint64_t query_seed,
-                    const std::shared_ptr<ShardFaultInjector>& injector,
-                    std::vector<GatherSlot>* slots) const;
-
-  /// Concurrent fan-out on pool_: real sleeps, real hedging races, timed
-  /// waits against the query deadline.
-  void GatherConcurrent(const std::vector<ShardRef>& selected,
-                        const float* query, const TimeWindow& window,
-                        const SearchParams& search, uint64_t query_seed,
-                        const std::shared_ptr<ShardFaultInjector>& injector,
-                        std::vector<GatherSlot>* slots) const;
+  /// One shard's fan-out body, on the caller's thread or a pool worker:
+  /// the primary chain, a hedge chain when the primary's simulated latency
+  /// reaches hedge_delay_seconds, then the fold into `slot`.
+  void Gather(const ShardRef& ref, const float* query,
+              const TimeWindow& window, const SearchParams& search,
+              uint64_t query_seed,
+              const std::shared_ptr<ShardFaultInjector>& injector,
+              GatherSlot* slot) const;
 
   const size_t dim_;
   const Metric metric_;
@@ -343,8 +339,8 @@ class ShardedMbi {
   Timestamp last_t_ MBI_GUARDED_BY(mu_) = -1;
   std::shared_ptr<ShardFaultInjector> injector_ MBI_GUARDED_BY(mu_);
 
-  // Declared last so it is destroyed first: the pool's destructor drains
-  // and joins every straggler probe before any other member goes away.
+  // Null below two search threads. No probe outlives its query, so the
+  // pool is idle whenever no Search is running.
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -11,7 +11,6 @@
 #ifndef MBI_UTIL_MUTEX_H_
 #define MBI_UTIL_MUTEX_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>  // mbi-lint: allow(raw-mutex) — the wrapper itself
 
@@ -70,20 +69,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();
-  }
-
-  /// Timed wait: blocks for at most `seconds` (<= 0 returns immediately
-  /// without releasing the mutex). Returns true if notified, false on
-  /// timeout. Like any condition wait, spurious wakeups are possible —
-  /// callers re-check their predicate either way.
-  bool WaitFor(Mutex& mu, double seconds) MBI_REQUIRES(mu) {
-    if (seconds <= 0.0) return false;
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    const bool notified =
-        cv_.wait_for(lock, std::chrono::duration<double>(seconds)) ==
-        std::cv_status::no_timeout;
-    lock.release();
-    return notified;
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -219,6 +219,68 @@ TEST(MbiIoTest, RecoversCheckpointWrittenWithUint32Graphs) {
   std::filesystem::remove_all(dir);
 }
 
+// The manifest stores what defines the index; the settings of a running
+// instance come from Recover's caller, or are the defaults when none are
+// given. This index checkpoints with two cascade builds pending under its
+// ingest cap of one, so the tail replay must build every block whatever
+// cap the recovered instance runs with.
+TEST(MbiIoTest, RecoverTakesRunningSettingsFromTheCaller) {
+  constexpr size_t kDim = 8, kN = 192;
+  SyntheticParams gen;
+  gen.dim = kDim;
+  gen.seed = 31;
+  SyntheticData data = GenerateSynthetic(gen, kN);
+  MbiParams p;
+  p.leaf_size = 16;
+  p.build.degree = 8;
+  p.adaptive_block_search = true;
+  p.max_inflight_queries = 3;
+  p.shed_retry_after_seconds = 0.5;
+  p.max_blocks_per_add = 1;
+  p.num_threads = 2;
+  MbiIndex original(kDim, Metric::kL2, p);
+  ASSERT_TRUE(
+      original.AddBatch(data.vectors.data(), data.timestamps.data(), kN)
+          .ok());
+  ASSERT_EQ(original.pending_builds(), 2u);
+  const std::string dir = FreshDir("mbi_running_settings");
+  ASSERT_TRUE(original.Checkpoint(dir).ok());
+  original.FinishPendingBuilds();
+
+  const MbiParams defaults;
+  auto plain = MbiIndex::Recover(dir);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  const MbiParams& d = plain.value()->params();
+  EXPECT_EQ(d.adaptive_block_search, defaults.adaptive_block_search);
+  EXPECT_EQ(d.max_inflight_queries, defaults.max_inflight_queries);
+  EXPECT_EQ(d.shed_retry_after_seconds, defaults.shed_retry_after_seconds);
+  EXPECT_EQ(d.max_blocks_per_add, defaults.max_blocks_per_add);
+  EXPECT_EQ(d.num_threads, defaults.num_threads);
+  EXPECT_EQ(plain.value()->pending_builds(), 0u);
+  EXPECT_EQ(plain.value()->num_blocks(), original.num_blocks());
+
+  // The caller's stored fields are ignored: the manifest's leaf size wins.
+  MbiParams running = p;
+  running.leaf_size = 64;
+  auto kept = MbiIndex::Recover(dir, nullptr, &running);
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  const MbiParams& r = kept.value()->params();
+  EXPECT_EQ(r.leaf_size, p.leaf_size);
+  EXPECT_EQ(r.adaptive_block_search, p.adaptive_block_search);
+  EXPECT_EQ(r.max_inflight_queries, p.max_inflight_queries);
+  EXPECT_EQ(r.shed_retry_after_seconds, p.shed_retry_after_seconds);
+  EXPECT_EQ(r.max_blocks_per_add, p.max_blocks_per_add);
+  EXPECT_EQ(r.num_threads, p.num_threads);
+  EXPECT_EQ(kept.value()->pending_builds(), 0u);
+  EXPECT_EQ(kept.value()->num_blocks(), original.num_blocks());
+
+  // Invalid running settings are refused like invalid constructor params.
+  running.num_threads = 0;
+  EXPECT_EQ(MbiIndex::Recover(dir, nullptr, &running).status().code(),
+            StatusCode::kInvalidArgument);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(MbiIoTest, RecoverRejectsMissingDirectory) {
   auto result = MbiIndex::Recover("/nonexistent/mbi_ckpt");
   EXPECT_FALSE(result.ok());

@@ -108,7 +108,8 @@ TEST(ShardScenarioReplay, BrownoutFingerprintIsBitStable) {
 
 // The seed-42 fingerprints bench_scenarios prints, as scenario_test pins the
 // five single-index ones: a change that moves a sharded run's events, say
-// through the store under every shard, fails here.
+// through the store under every shard, fails here. The fleet's pooled
+// fan-out must replay to the same events as its serial one.
 TEST(ShardScenarioReplay, FingerprintsArePinned) {
   const std::vector<std::pair<std::string, uint32_t>> pinned = {
       {"shard_brownout", 0xcb2c2022u},
@@ -117,8 +118,13 @@ TEST(ShardScenarioReplay, FingerprintsArePinned) {
   RunOptions opts;
   opts.mode = RunMode::kDeterministic;
   for (const auto& [name, fingerprint] : pinned) {
-    const ScenarioOutcome o = MustRun(MustGet(name, 42), opts);
-    EXPECT_EQ(o.log.Fingerprint(), fingerprint) << name;
+    for (const size_t threads : {0, 4}) {
+      ScenarioSpec spec = MustGet(name, 42);
+      spec.sharded.num_search_threads = threads;
+      const ScenarioOutcome o = MustRun(spec, opts);
+      EXPECT_EQ(o.log.Fingerprint(), fingerprint)
+          << name << " at num_search_threads " << threads;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 // shard_scenario_test — scripts/sanitize_smoke.sh --tsan shard_test).
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -12,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -537,6 +539,130 @@ TEST(ShardedMbi, MinResultCoverageFailsLowCoverageQueries) {
   EXPECT_FALSE(narrow.value().degraded());
 }
 
+// One fault schedule at fan-out widths 0, 2 and 4. The pool only spreads
+// the per-shard bodies over threads, so the answer, its completion, shard
+// health and every probe's record match the serial fan-out exactly.
+TEST(ShardedMbi, EveryFanOutWidthGivesTheSameAnswersAndTraces) {
+  struct Run {
+    SearchResult result;
+    ShardQueryTrace trace;
+    std::vector<bool> healthy;
+  };
+  auto run = [](size_t threads) {
+    ShardedMbiParams p = FlatParams(25);
+    p.num_search_threads = threads;
+    p.hedge_delay_seconds = 0.005;
+    p.backoff.max_retries = 2;
+    p.backoff.initial_seconds = 0.001;
+    p.backoff.max_seconds = 0.002;
+    ShardedMbi index(8, Metric::kL2, p);
+    SyntheticData data = FillSharded(&index, 150, 97);
+
+    auto injector = std::make_shared<ScriptedInjector>();
+    // Shard 0: the primary is slow past the hedge delay; both chains answer.
+    injector->Push(0, ShardProbeFault{Status::Ok(), 0.020});
+    // Shard 1: one shed with a retry-after hint, then a clean retry.
+    injector->Push(1, ShardProbeFault{
+        Status::ResourceExhausted("shed").WithRetryAfter(0.0005), 0.0});
+    // Shard 2: a slow kUnavailable primary whose hedge fails too.
+    injector->Push(2, ShardProbeFault{Status::Unavailable("primary"), 0.010});
+    injector->Push(2, ShardProbeFault{Status::Unavailable("replica"), 0.0});
+    // Shard 3: a slow primary answers while its hedge fails with
+    // kUnavailable, so the shard stays in rotation.
+    injector->Push(3, ShardProbeFault{Status::Ok(), 0.020});
+    injector->Push(3, ShardProbeFault{Status::Unavailable("replica"), 0.0});
+    // Shard 4: data loss.
+    injector->Push(4, ShardProbeFault{Status::DataLoss("bad segment"), 0.0});
+    index.SetFaultInjectorForTesting(injector);
+
+    SearchParams sp;
+    sp.k = 20;
+    QueryContext ctx(11);
+    Run out;
+    auto res = index.Search(data.vector(60), TimeWindow::All(), sp, &ctx,
+                            &out.trace);
+    EXPECT_TRUE(res.ok()) << res.status().ToString();
+    if (res.ok()) out.result = std::move(res).value();
+    for (size_t i = 0; i < index.num_shards(); ++i) {
+      out.healthy.push_back(index.shard_healthy(i));
+    }
+    return out;
+  };
+
+  const Run serial = run(0);
+  EXPECT_TRUE(serial.result.degraded());
+  EXPECT_EQ(serial.result.degrade_reason, DegradeReason::kShardUnavailable);
+  EXPECT_EQ(serial.result.shards_ok, 4u);
+  EXPECT_EQ(serial.result.shards_total, 6u);
+  EXPECT_EQ(serial.trace.hedges_fired, 3u);
+  EXPECT_EQ(serial.trace.retries_total, 1u);
+  EXPECT_EQ(serial.healthy,
+            (std::vector<bool>{true, true, false, true, false, true}));
+
+  for (const size_t threads : {2, 4}) {
+    SCOPED_TRACE("num_search_threads " + std::to_string(threads));
+    const Run pooled = run(threads);
+    ASSERT_EQ(pooled.result.size(), serial.result.size());
+    for (size_t i = 0; i < serial.result.size(); ++i) {
+      EXPECT_EQ(pooled.result[i].id, serial.result[i].id);
+      EXPECT_EQ(std::bit_cast<uint32_t>(pooled.result[i].distance),
+                std::bit_cast<uint32_t>(serial.result[i].distance));
+    }
+    EXPECT_EQ(pooled.result.completion, serial.result.completion);
+    EXPECT_EQ(pooled.result.degrade_reason, serial.result.degrade_reason);
+    EXPECT_EQ(pooled.result.shards_ok, serial.result.shards_ok);
+    EXPECT_EQ(pooled.healthy, serial.healthy);
+    ASSERT_EQ(pooled.trace.probes.size(), serial.trace.probes.size());
+    for (size_t i = 0; i < serial.trace.probes.size(); ++i) {
+      const ShardQueryTrace::Probe& a = pooled.trace.probes[i];
+      const ShardQueryTrace::Probe& b = serial.trace.probes[i];
+      SCOPED_TRACE("shard " + std::to_string(b.shard_index));
+      EXPECT_EQ(a.shard_index, b.shard_index);
+      EXPECT_EQ(a.attempts, b.attempts);
+      EXPECT_EQ(a.retries, b.retries);
+      EXPECT_EQ(a.hedged, b.hedged);
+      EXPECT_EQ(a.ok, b.ok);
+      EXPECT_EQ(a.latency_seconds, b.latency_seconds);
+      EXPECT_EQ(a.error, b.error);
+    }
+  }
+}
+
+// A probe that throws fails its query at every fan-out width: the caller
+// waits for the other probes, which use its frame, then rethrows, and the
+// pool stays usable.
+TEST(ShardedMbi, ThrowingProbeFailsItsQueryAtEveryWidth) {
+  class ThrowingInjector final : public ShardFaultInjector {
+   public:
+    ShardProbeFault OnProbe(size_t shard, uint32_t) override {
+      if (shard == 1 && armed.exchange(false)) {
+        throw std::runtime_error("injector failed");
+      }
+      return {};
+    }
+    std::atomic<bool> armed{true};
+  };
+  for (const size_t threads : {0, 2, 4}) {
+    SCOPED_TRACE("num_search_threads " + std::to_string(threads));
+    ShardedMbiParams p = FlatParams(25);
+    p.num_search_threads = threads;
+    ShardedMbi index(8, Metric::kL2, p);
+    FillSharded(&index, 100, 103);
+    auto injector = std::make_shared<ThrowingInjector>();
+    index.SetFaultInjectorForTesting(injector);
+
+    SearchParams sp;
+    sp.k = 10;
+    QueryContext ctx(5);
+    const float q[8] = {};
+    EXPECT_THROW(index.Search(q, TimeWindow::All(), sp, &ctx),
+                 std::runtime_error);
+    auto res = index.Search(q, TimeWindow::All(), sp, &ctx);
+    ASSERT_TRUE(res.ok());
+    EXPECT_EQ(res.value().shards_ok, 4u);
+  }
+}
+
 // ------------------------------------------------- checkpoint/recover --
 
 TEST(ShardedMbi, CheckpointRecoverRevivesAQuarantinedShard) {
@@ -563,6 +689,36 @@ TEST(ShardedMbi, CheckpointRecoverRevivesAQuarantinedShard) {
     EXPECT_EQ(0, std::memcmp(store.GetVector(local), data.vector(25 + local),
                              8 * sizeof(float)));
   }
+  std::filesystem::remove_all(dir);
+}
+
+// A revived shard runs with the shard parameters the fleet holds, not with
+// the defaults of a bare MbiIndex::Recover.
+TEST(ShardedMbi, RecoverShardKeepsTheShardsRunningSettings) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "mbi_shard_test_settings")
+          .string();
+  std::filesystem::remove_all(dir);
+  ShardedMbiParams p = FlatParams(25);
+  p.shard.adaptive_block_search = true;
+  p.shard.max_inflight_queries = 3;
+  p.shard.shed_retry_after_seconds = 0.5;
+  p.shard.max_blocks_per_add = 1;
+  p.shard.num_threads = 2;
+  ShardedMbi index(8, Metric::kL2, p);
+  FillSharded(&index, 100, 101);
+  ASSERT_TRUE(index.CheckpointShard(1, dir).ok());
+  ASSERT_TRUE(index.QuarantineShard(1, Status::Unavailable("lost")).ok());
+  ASSERT_TRUE(index.RecoverShard(1, dir).ok());
+
+  auto pinned = index.shard(1);
+  ASSERT_TRUE(pinned.ok());
+  const MbiParams& r = pinned.value()->params();
+  EXPECT_EQ(r.adaptive_block_search, true);
+  EXPECT_EQ(r.max_inflight_queries, 3u);
+  EXPECT_EQ(r.shed_retry_after_seconds, 0.5);
+  EXPECT_EQ(r.max_blocks_per_add, 1u);
+  EXPECT_EQ(r.num_threads, 2u);
   std::filesystem::remove_all(dir);
 }
 
