@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the unit tests under sanitizers and runs them.
 #
-#   scripts/sanitize_smoke.sh            # ASan + UBSan (default preset)
+#   scripts/sanitize_smoke.sh            # ASan + UBSan + float-cast-overflow
 #   scripts/sanitize_smoke.sh --tsan     # ThreadSanitizer preset
 #   scripts/sanitize_smoke.sh --tsan concurrency_test obs_test   # subset
 #
@@ -12,7 +12,9 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-preset="address;undefined"
+# -fsanitize=undefined leaves out float-cast-overflow (such as a double at
+# or past 2^64 cast to size_t), so the preset names it.
+preset="address;undefined;float-cast-overflow"
 build_dir="build-asan"
 if [[ "${1:-}" == "--tsan" ]]; then
   preset="thread"
@@ -28,6 +30,9 @@ cmake -B "$build_dir" -S . \
 cmake --build "$build_dir" -j"$(nproc)"
 
 cd "$build_dir"
+# UBSan reports and carries on by default, which a passing ctest hides; halt
+# instead, so a report fails its test and --output-on-failure prints it.
+export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 if [[ $# -gt 0 ]]; then
   tests_regex="$(IFS='|'; echo "$*")"
   ctest --output-on-failure -j"$(nproc)" -R "^(${tests_regex})$"

@@ -257,6 +257,28 @@ void NegativeInnerProductMany(const float* q, const float* const* rows,
   for (size_t r = 0; r < count; ++r) out[r] = -out[r];
 }
 
+// AngularRow sums each of <a,b>, |a|^2 and |b|^2 in SumRow's lane order,
+// so the three sums may come from separate calls, and the two norms from
+// any earlier time, without changing a bit of Cosine's result.
+MBI_KERNEL_CLONES
+float SquaredNorm(const float* a, size_t dim) {
+  return SumRow<false>(a, a, dim);
+}
+
+MBI_KERNEL_CLONES
+float AngularDistanceFromNorms(const float* a, const float* b, size_t dim,
+                               float aa, float bb) {
+  return Cosine(SumRow<false>(a, b, dim), aa, bb);
+}
+
+MBI_KERNEL_CLONES
+void AngularDistanceFromNormsMany(const float* q, const float* const* rows,
+                                  const float* norms, size_t count, size_t dim,
+                                  float qq, float* out) {
+  SumRows<false>(q, rows, count, dim, out);
+  for (size_t r = 0; r < count; ++r) out[r] = Cosine(out[r], qq, norms[r]);
+}
+
 DistanceFunction::DistanceFunction(Metric metric, size_t dim)
     : metric_(metric), dim_(dim), fn_(nullptr), many_(nullptr) {
   MBI_CHECK(dim > 0);

@@ -45,6 +45,21 @@ void AngularDistanceMany(const float* q, const float* const* rows,
 void NegativeInnerProductMany(const float* q, const float* const* rows,
                               size_t count, size_t dim, float* out);
 
+/// sum(a[i] * a[i]) in the kernels' summation order: exactly the |a|^2 and
+/// |b|^2 that AngularDistance sums beside <a,b>.
+float SquaredNorm(const float* a, size_t dim);
+
+/// AngularDistance(a, b, dim), bit for bit, given aa = SquaredNorm(a) and
+/// bb = SquaredNorm(b): only <a,b> is summed. Returns 1 when aa * bb is 0.
+float AngularDistanceFromNorms(const float* a, const float* b, size_t dim,
+                               float aa, float bb);
+
+/// Batch form: out[r] = AngularDistanceFromNorms(q, rows[r], dim, qq,
+/// norms[r]) for every r < count, bit for bit.
+void AngularDistanceFromNormsMany(const float* q, const float* const* rows,
+                                  const float* norms, size_t count, size_t dim,
+                                  float qq, float* out);
+
 /// Runtime-dispatched distance evaluator.
 ///
 /// Holds the metric and dimension so hot loops call a bare function pointer

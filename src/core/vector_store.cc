@@ -43,6 +43,12 @@ void VectorStore::EnsureChunkFor(size_t index) {
       std::make_unique_for_overwrite<float[]>(chunk_capacity_ * dist_.dim()));
   ts_chunks_.push_back(
       std::make_unique_for_overwrite<Timestamp[]>(chunk_capacity_));
+  if (has_norms()) {
+    norm_chunks_.push_back(
+        std::make_unique_for_overwrite<float[]>(chunk_capacity_));
+  }
+  const Chunk fresh{data_chunks_.back().get(), ts_chunks_.back().get(),
+                    has_norms() ? norm_chunks_.back().get() : nullptr};
 
   if (chunk >= table_capacity_) {
     // Grow the chunk table. The previous table is retired, not freed:
@@ -52,7 +58,7 @@ void VectorStore::EnsureChunkFor(size_t index) {
     auto grown = std::make_unique<Chunk[]>(new_capacity);
     const Chunk* old = table_.load(std::memory_order_relaxed);
     for (size_t i = 0; i < chunk; ++i) grown[i] = old[i];
-    grown[chunk] = Chunk{data_chunks_.back().get(), ts_chunks_.back().get()};
+    grown[chunk] = fresh;
     table_.store(grown.get(), std::memory_order_release);
     table_capacity_ = new_capacity;
     tables_.push_back(std::move(grown));
@@ -60,8 +66,7 @@ void VectorStore::EnsureChunkFor(size_t index) {
     // In-place publication of one new slot. Readers never touch slot
     // `chunk` before committed_ covers it, and the committed_ release
     // store below orders this write before their acquire load.
-    Chunk* active = tables_.back().get();
-    active[chunk] = Chunk{data_chunks_.back().get(), ts_chunks_.back().get()};
+    tables_.back()[chunk] = fresh;
   }
 }
 
@@ -97,6 +102,9 @@ Status VectorStore::AppendLocked(const float* vector, Timestamp t) {
   std::memcpy(data_chunks_.back().get() + local * dist_.dim(), vector,
               dist_.dim() * sizeof(float));
   ts_chunks_.back()[local] = t;
+  if (has_norms()) {
+    norm_chunks_.back()[local] = SquaredNorm(vector, dist_.dim());
+  }
   last_timestamp_ = t;
   ++write_size_;
   committed_.store(write_size_, std::memory_order_release);
@@ -140,6 +148,29 @@ IdRange VectorStore::FindRangeInPrefix(const TimeWindow& window,
   const size_t begin = lower(window.start, 0, n);
   const size_t end = lower(window.end, begin, n);
   return IdRange{static_cast<VectorId>(begin), static_cast<VectorId>(end)};
+}
+
+RowScorer::RowScorer(const VectorStore& store, const float* query)
+    : store_(store),
+      dist_(store.distance()),
+      query_(query),
+      has_norms_(store.has_norms()),
+      query_norm_(has_norms_ ? SquaredNorm(query, dist_.dim()) : 0.0f) {}
+
+void RowScorer::Many(VectorId begin, size_t count, float* out) const {
+  if (count == 0) return;
+  MBI_CHECK(count <= kMaxBatch);
+  const VectorStore::ContiguousRun run =
+      store_.Run(begin, begin + static_cast<VectorId>(count));
+  MBI_DCHECK(run.count == count);
+  const float* rows[kMaxBatch];
+  for (size_t i = 0; i < count; ++i) rows[i] = run.data + i * dist_.dim();
+  if (has_norms_) {
+    AngularDistanceFromNormsMany(query_, rows, run.norms, count, dist_.dim(),
+                                 query_norm_, out);
+  } else {
+    dist_.Many(query_, rows, count, out);
+  }
 }
 
 TimeWindow VectorStore::RangeWindow(const IdRange& range) const {

@@ -20,6 +20,10 @@
 //   MBI_GUARDED_BY it, so the single-writer half of the contract is enforced
 //   at compile time under Clang -Wthread-safety (and at run time for
 //   accidental second writers).
+//
+//   An angular store also keeps each row's squared norm beside its
+//   timestamp, written before the row is published, so an angular score
+//   sums only one dot product per row.
 
 #ifndef MBI_CORE_VECTOR_STORE_H_
 #define MBI_CORE_VECTOR_STORE_H_
@@ -108,12 +112,25 @@ class VectorStore {
     return c.timestamps[i & chunk_mask_];
   }
 
+  /// True iff the store keeps each row's squared norm (angular stores).
+  bool has_norms() const { return dist_.metric() == Metric::kAngular; }
+
+  /// SquaredNorm(GetVector(id)), stored when the row was appended.
+  /// Requires has_norms().
+  float GetSquaredNorm(VectorId id) const {
+    const size_t i = static_cast<size_t>(id);
+    const Chunk& c = table_.load(std::memory_order_acquire)[i >> chunk_shift_];
+    return c.norms[i & chunk_mask_];
+  }
+
   /// A maximal contiguous run of storage starting at one id: `count` vectors
-  /// at `data` (row-major) with parallel `timestamps`. Runs end at chunk
+  /// at `data` (row-major) with parallel `timestamps` and, in a store with
+  /// norms, parallel squared `norms` (else null). Runs end at chunk
   /// boundaries; loop until `begin + count == end` to cover a whole range.
   struct ContiguousRun {
     const float* data;
     const Timestamp* timestamps;
+    const float* norms;
     size_t count;
   };
 
@@ -125,7 +142,8 @@ class VectorStore {
     const size_t count = std::min(chunk_capacity_ - local,
                                   static_cast<size_t>(end - begin));
     const Chunk& c = table_.load(std::memory_order_acquire)[i >> chunk_shift_];
-    return {c.data + local * dist_.dim(), c.timestamps + local, count};
+    return {c.data + local * dist_.dim(), c.timestamps + local,
+            c.norms != nullptr ? c.norms + local : nullptr, count};
   }
 
   /// Ids of all vectors whose timestamp lies in the half-open `window`
@@ -151,18 +169,24 @@ class VectorStore {
     return GetTimestamp(static_cast<VectorId>(size()) - 1);
   }
 
-  /// Bytes used by committed vector data + timestamps. Allocation is
+  /// Bytes one row occupies: its floats, its timestamp and, in a store
+  /// with norms, its squared norm.
+  size_t BytesPerRow() const {
+    return dist_.dim() * sizeof(float) + sizeof(Timestamp) +
+           (has_norms() ? sizeof(float) : 0);
+  }
+
+  /// Bytes used by committed rows (BytesPerRow() each). Allocation is
   /// rounded up to whole chunks, but a chunk's pages become resident only
   /// as rows fill them, so this is also what the rows hold in memory, to
-  /// within one page per chunk.
-  size_t MemoryBytes() const {
-    return size() * (dist_.dim() * sizeof(float) + sizeof(Timestamp));
-  }
+  /// within one page per chunk array.
+  size_t MemoryBytes() const { return size() * BytesPerRow(); }
 
  private:
   struct Chunk {
     float* data = nullptr;          // chunk_capacity_ * dim floats
     Timestamp* timestamps = nullptr;  // chunk_capacity_ entries
+    float* norms = nullptr;         // chunk_capacity_ entries, or null
   };
 
   // Append body; the public entry points take writer_mu_ and delegate here.
@@ -194,6 +218,8 @@ class VectorStore {
       MBI_GUARDED_BY(writer_mu_);
   std::vector<std::unique_ptr<Timestamp[]>> ts_chunks_
       MBI_GUARDED_BY(writer_mu_);
+  std::vector<std::unique_ptr<float[]>> norm_chunks_
+      MBI_GUARDED_BY(writer_mu_);  // empty unless has_norms()
 
   // Writer-side append cursor and the reader-visible committed size
   // (release-published by the writer, acquire-loaded by readers — the one
@@ -229,6 +255,42 @@ class VectorSlice {
   VectorId base_ = 0;
   const float* data_ = nullptr;
   size_t dim_ = 0;
+};
+
+/// Scores one query against a store's rows, bit for bit as
+/// store.distance() does: score(id) == store.distance()(query,
+/// store.GetVector(id)). Built once per search. In a store with norms it
+/// sums the query's squared norm once and reads each row's stored one, so
+/// an angular score sums one dot product instead of three sums. Algorithm 2
+/// and ExactScan score through it and never branch on the metric.
+class RowScorer {
+ public:
+  /// The most rows one Many call scores.
+  static constexpr size_t kMaxBatch = 64;
+
+  RowScorer(const VectorStore& store, const float* query);
+
+  /// Distance from the query to row `id` (id < store.size()).
+  float operator()(VectorId id) const {
+    const float* row = store_.GetVector(id);
+    if (has_norms_) {
+      return AngularDistanceFromNorms(query_, row, dist_.dim(), query_norm_,
+                                      store_.GetSquaredNorm(id));
+    }
+    return dist_(query_, row);
+  }
+
+  /// out[i] = (*this)(begin + i) for every i < count. The rows must lie in
+  /// one contiguous run (count <= store.Run(begin, end).count), and count
+  /// <= kMaxBatch.
+  void Many(VectorId begin, size_t count, float* out) const;
+
+ private:
+  const VectorStore& store_;
+  const DistanceFunction dist_;
+  const float* query_;
+  const bool has_norms_;
+  const float query_norm_;  // SquaredNorm(query_) when has_norms_, else 0
 };
 
 }  // namespace mbi

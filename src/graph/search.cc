@@ -43,13 +43,18 @@ struct SearcherMetrics {
 }  // namespace
 
 size_t GraphSearcher::PoolInsert(float dist, NodeId id, size_t capacity) {
-  if (pool_.size() == capacity && dist >= pool_.back().dist) return SIZE_MAX;
-  auto it = std::lower_bound(
-      pool_.begin(), pool_.end(), dist,
-      [](const Candidate& c, float d) { return c.dist < d; });
-  size_t pos = static_cast<size_t>(it - pool_.begin());
-  if (pool_.size() == capacity) pool_.pop_back();
-  pool_.insert(pool_.begin() + pos, Candidate{dist, id, false});
+  size_t pos = pool_.size();
+  if (pos == capacity) {
+    if (dist >= pool_[pos - 1].dist) return SIZE_MAX;
+    --pos;  // the evicted last entry's slot
+  } else {
+    pool_.emplace_back();
+  }
+  // A new candidate is usually among the worst, so the position is found
+  // from the back, moving each farther entry up one slot on the way.
+  Candidate* c = pool_.data();
+  for (; pos > 0 && c[pos - 1].dist >= dist; --pos) c[pos] = c[pos - 1];
+  c[pos] = Candidate{dist, id};
   return pos;
 }
 
@@ -60,6 +65,7 @@ void GraphSearcher::Search(const VectorStore& store, const KnnGraph& graph,
                            BudgetTracker* budget) {
   const size_t n = static_cast<size_t>(range.size());
   MBI_CHECK(graph.num_nodes() == n);
+  MBI_CHECK(n <= Candidate::kExpanded);
   if (n == 0) return;
 
   // While the result set holds fewer than k in-window vectors, the candidate
@@ -68,10 +74,9 @@ void GraphSearcher::Search(const VectorStore& store, const KnnGraph& graph,
   // which is what makes it slow-but-accurate on short windows. Once R is
   // full, C is pruned to the M_C nearest (Algorithm 2 lines 16-17).
   const size_t bounded_capacity = std::max(params.max_candidates, params.k);
-  const DistanceFunction& dist = store.distance();
-  // Per-access lookup instead of a cached base pointer: the store is chunked,
-  // so the slice [range.begin, range.end) need not be contiguous in memory.
-  const VectorSlice rows(store, range.begin);
+  // Scores by global id: the store is chunked, so the slice
+  // [range.begin, range.end) need not be contiguous in memory.
+  const RowScorer score(store, query);
 
   pool_.clear();
   // The pool holds each node at most once, so the block's node count bounds
@@ -89,7 +94,7 @@ void GraphSearcher::Search(const VectorStore& store, const KnnGraph& graph,
   for (size_t i = 0; i < entries; ++i) {
     NodeId s = static_cast<NodeId>(rng->NextBounded(n));
     if (queued_.TestAndSet(s)) continue;
-    float d = dist(query, rows.row(static_cast<size_t>(s)));
+    float d = score(range.begin + static_cast<VectorId>(s));
     ++local_stats.distance_evaluations;
     if (budgeted && !budget->ChargeDistance()) break;
     PoolInsert(d, s, bounded_capacity);
@@ -101,15 +106,15 @@ void GraphSearcher::Search(const VectorStore& store, const KnnGraph& graph,
   // degrades recall but never correctness).
   size_t scan_from = 0;
   while (scan_from < pool_.size()) {
-    if (pool_[scan_from].expanded) {
+    if (pool_[scan_from].expanded()) {
       ++scan_from;
       continue;
     }
     if (budgeted && (budget->Exhausted() || !budget->ChargeHop())) break;
     Candidate& cur = pool_[scan_from];
-    cur.expanded = true;
+    cur.word |= Candidate::kExpanded;
     ++local_stats.nodes_expanded;
-    const NodeId v = cur.id;
+    const NodeId v = cur.id();
     const float cur_dist = cur.dist;
 
     // Lines 12-15: in-window vertices feed the result set.
@@ -148,7 +153,7 @@ void GraphSearcher::Search(const VectorStore& store, const KnnGraph& graph,
       for (const Id nb : slots) {
         if (nb == kEmptySlot<Id>) break;
         if (queued_.TestAndSet(nb)) continue;
-        float d = dist(query, rows.row(static_cast<size_t>(nb)));
+        float d = score(range.begin + static_cast<VectorId>(nb));
         ++local_stats.distance_evaluations;
         if (budgeted && !budget->ChargeDistance()) break;
         if (restrict_range && !(d < bound)) {

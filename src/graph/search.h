@@ -97,14 +97,22 @@ class GraphSearcher {
               BudgetTracker* budget = nullptr);
 
  private:
+  // One pool entry in 8 bytes: the expanded flag rides in the id word's top
+  // bit, which no node id reaches (Search checks the block's node count).
   struct Candidate {
+    static constexpr uint32_t kExpanded = uint32_t{1} << 31;
+
     float dist;
-    NodeId id;
-    bool expanded;
+    uint32_t word;  // NodeId | kExpanded once the node's edges are scanned
+
+    NodeId id() const { return word & ~kExpanded; }
+    bool expanded() const { return (word & kExpanded) != 0; }
   };
 
-  // Inserts into the sorted bounded pool; returns the insertion position or
-  // SIZE_MAX if rejected.
+  // Inserts into the pool, kept in ascending distance with a new candidate
+  // before equal-distance ones. A full pool (`capacity` entries) drops its
+  // last entry, the oldest of the worst, or rejects a candidate no nearer.
+  // Returns the insertion position, or SIZE_MAX if rejected.
   size_t PoolInsert(float dist, NodeId id, size_t capacity);
 
   std::vector<Candidate> pool_;

@@ -20,34 +20,23 @@ void ExactScan(const VectorStore& store, const IdRange& range,
   if (scan.Empty()) return;
 
   const bool budgeted = budget != nullptr && budget->active();
-  const DistanceFunction& dist = store.distance();
-  const size_t dim = store.dim();
+  const RowScorer score(store, query);
   size_t m = 0;  // rows actually scanned (== scan.size() when unbudgeted)
-  // Walk chunk-contiguous runs in sub-batches of at most kSubBatch rows.
-  // Each sub-batch is charged up front (one branch per kSubBatch rows
-  // instead of one per row), so overshoot is bounded by kSubBatch rows, and
-  // then scored by one batch-kernel call and pushed in id order.
-  constexpr size_t kSubBatch = 64;
-  const float* rows[kSubBatch];
-  float dists[kSubBatch];
+  // Walk the slice in sub-batches of at most kMaxBatch rows that end at
+  // chunk boundaries. Each sub-batch is charged up front (one branch per
+  // sub-batch instead of one per row), so overshoot is bounded by kMaxBatch
+  // rows, and then scored by one batch call and pushed in id order.
+  float dists[RowScorer::kMaxBatch];
   for (VectorId id = scan.begin; id < scan.end;) {
-    const VectorStore::ContiguousRun run = store.Run(id, scan.end);
-    size_t done = 0;
-    while (done < run.count) {
-      const size_t batch = std::min(kSubBatch, run.count - done);
-      if (budgeted && !budget->ChargeDistance(batch)) break;
-      for (size_t i = 0; i < batch; ++i) {
-        rows[i] = run.data + (done + i) * dim;
-      }
-      dist.Many(query, rows, batch, dists);
-      for (size_t i = 0; i < batch; ++i) {
-        results->Push(dists[i], id + static_cast<VectorId>(done + i));
-      }
-      done += batch;
+    const size_t batch =
+        std::min(RowScorer::kMaxBatch, store.Run(id, scan.end).count);
+    if (budgeted && !budget->ChargeDistance(batch)) break;
+    score.Many(id, batch, dists);
+    for (size_t i = 0; i < batch; ++i) {
+      results->Push(dists[i], id + static_cast<VectorId>(i));
     }
-    m += done;
-    if (done < run.count) break;  // budget exhausted mid-run
-    id += static_cast<VectorId>(run.count);
+    m += batch;
+    id += static_cast<VectorId>(batch);
   }
   static obs::Counter* scans = obs::MetricRegistry::Default().GetCounter(
       "mbi_search_exact_scans_total",

@@ -107,6 +107,13 @@ struct QueryMetrics {
   }
 };
 
+// A candidate count scaled by a fraction. Casting a double at or above
+// 2^64 to size_t is undefined (on x86-64 it gives 0), and max_candidates
+// may be SIZE_MAX, so the count saturates at SIZE_MAX instead.
+size_t SaturatingCount(double count) {
+  return count >= 0x1p64 ? SIZE_MAX : static_cast<size_t>(count);
+}
+
 }  // namespace
 
 Status MbiParams::Validate() const {
@@ -533,9 +540,9 @@ SearchResult MbiIndex::SearchView(const ReadView& view, const float* query,
       // proportionally smaller candidate pool (never below k) before any
       // block is skipped outright.
       block_search.max_candidates = std::max(
-          search.k, static_cast<size_t>(static_cast<double>(
-                        block_search.max_candidates) *
-                    budget.FractionRemaining()));
+          search.k,
+          SaturatingCount(static_cast<double>(block_search.max_candidates) *
+                          budget.FractionRemaining()));
     }
     if (use_graph && params_.adaptive_block_search) {
       IdRange scan = sel.range;
@@ -554,7 +561,9 @@ SearchResult MbiIndex::SearchView(const ReadView& view, const float* query,
       const size_t twice_k =
           search.k > SIZE_MAX / 2 ? SIZE_MAX : 2 * search.k;
       block_search.max_candidates = std::max<size_t>(
-          twice_k, static_cast<size_t>(search.max_candidates * share + 0.5));
+          twice_k, SaturatingCount(
+                       static_cast<double>(search.max_candidates) * share +
+                       0.5));
 
       // Exact-scan fallback: when few in-window vectors fall inside this
       // block, a scan costs fewer distance evaluations than the graph
@@ -667,8 +676,7 @@ MbiStats MbiIndex::GetStats() const {
   MbiStats out;
   out.num_vectors = view.num_vectors;
   out.num_blocks = snap.blocks.size();
-  out.store_bytes =
-      view.num_vectors * (store_.dim() * sizeof(float) + sizeof(Timestamp));
+  out.store_bytes = view.num_vectors * store_.BytesPerRow();
   out.cumulative_build_seconds = build_seconds_.load(std::memory_order_relaxed);
 
   std::vector<bool> level_seen;

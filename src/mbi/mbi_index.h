@@ -91,7 +91,7 @@ struct MbiStats {
   size_t num_blocks = 0;           ///< full blocks with an index
   size_t num_levels = 0;           ///< distinct materialized heights
   size_t index_bytes = 0;          ///< sum of block index structures
-  size_t store_bytes = 0;          ///< raw vectors + timestamps
+  size_t store_bytes = 0;          ///< rows: vectors, timestamps, norms
   double cumulative_build_seconds = 0.0;
 };
 

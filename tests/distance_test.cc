@@ -193,6 +193,87 @@ TEST(DistanceTest, KernelBitsArePinned) {
   EXPECT_EQ(digest[2], 0xf8bf9764c5a7682bULL) << std::hex << digest[2];
 }
 
+// The stored-norm kernels an angular VectorStore scores through return the
+// angular kernels' bits: on KernelBitsArePinned's pairs (so their digest is
+// the pinned angular one), and in batch form against AngularDistanceMany
+// for every count 0-9 and 64. SquaredNorm is the inner-product kernel's sum
+// of a row with itself. Zero vectors score exactly 1 in both forms.
+TEST(DistanceTest, NormKernelsMatchAngularBitForBit) {
+  std::vector<size_t> dims;
+  for (size_t d = 1; d <= 64; ++d) dims.push_back(d);
+  dims.insert(dims.end(), {100, 128, 960});
+  uint64_t digest = 0xCBF29CE484222325ULL;
+  constexpr size_t kMaxCount = 64;
+  for (size_t dim : dims) {
+    Rng rng(1000 + dim);
+    for (int trial = 0; trial < 8; ++trial) {
+      auto a = RandomVec(&rng, dim);
+      auto b = RandomVec(&rng, dim);
+      const float aa = SquaredNorm(a.data(), dim);
+      const float bb = SquaredNorm(b.data(), dim);
+      EXPECT_EQ(std::bit_cast<uint32_t>(aa),
+                std::bit_cast<uint32_t>(
+                    -NegativeInnerProduct(a.data(), a.data(), dim)))
+          << "dim " << dim;
+      const float d = AngularDistanceFromNorms(a.data(), b.data(), dim, aa, bb);
+      EXPECT_EQ(std::bit_cast<uint32_t>(d),
+                std::bit_cast<uint32_t>(
+                    AngularDistance(a.data(), b.data(), dim)))
+          << "dim " << dim << " trial " << trial;
+      digest ^= std::bit_cast<uint32_t>(d);
+      digest *= 0x100000001B3ULL;
+    }
+
+    Rng row_rng(3000 + dim);
+    std::vector<std::vector<float>> data(kMaxCount);
+    std::vector<const float*> rows(kMaxCount);
+    std::vector<float> norms(kMaxCount);
+    for (size_t r = 0; r < kMaxCount; ++r) {
+      data[r] = RandomVec(&row_rng, dim);
+      rows[r] = data[r].data();
+      norms[r] = SquaredNorm(rows[r], dim);
+    }
+    auto q = RandomVec(&row_rng, dim);
+    const float qq = SquaredNorm(q.data(), dim);
+    for (size_t count : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64}) {
+      std::vector<float> got(count + 1, -7.0f), want(count + 1, -7.0f);
+      AngularDistanceFromNormsMany(q.data(), rows.data(), norms.data(), count,
+                                   dim, qq, got.data());
+      AngularDistanceMany(q.data(), rows.data(), count, dim, want.data());
+      for (size_t r = 0; r < count; ++r) {
+        EXPECT_EQ(std::bit_cast<uint32_t>(got[r]),
+                  std::bit_cast<uint32_t>(want[r]))
+            << "dim " << dim << " count " << count << " row " << r;
+      }
+      EXPECT_EQ(got[count], -7.0f) << "wrote past count " << count;
+    }
+  }
+  EXPECT_EQ(digest, 0xf7a571ab33a81789ULL) << std::hex << digest;
+
+  for (size_t dim : {3, 15, 16, 17, 128}) {
+    Rng rng(dim);
+    auto a = RandomVec(&rng, dim);
+    const std::vector<float> zero(dim, 0.0f);
+    const float aa = SquaredNorm(a.data(), dim);
+    EXPECT_EQ(std::bit_cast<uint32_t>(SquaredNorm(zero.data(), dim)), 0u);
+    EXPECT_EQ(AngularDistanceFromNorms(zero.data(), a.data(), dim, 0.0f, aa),
+              1.0f);
+    EXPECT_EQ(AngularDistanceFromNorms(a.data(), zero.data(), dim, aa, 0.0f),
+              1.0f);
+    EXPECT_EQ(
+        AngularDistanceFromNorms(zero.data(), zero.data(), dim, 0.0f, 0.0f),
+        1.0f);
+    const float* rows[2] = {zero.data(), a.data()};
+    const float norms[2] = {0.0f, aa};
+    float out[2];
+    AngularDistanceFromNormsMany(zero.data(), rows, norms, 2, dim, 0.0f, out);
+    EXPECT_EQ(out[0], 1.0f) << dim;
+    EXPECT_EQ(out[1], 1.0f) << dim;
+    AngularDistanceFromNormsMany(a.data(), rows, norms, 1, dim, aa, out);
+    EXPECT_EQ(out[0], 1.0f) << dim;
+  }
+}
+
 TEST(DistanceFunctionTest, DispatchesAllMetrics) {
   using Kernel = float (*)(const float*, const float*, size_t);
   const struct {

@@ -287,21 +287,28 @@ TEST(MbiIndexTest, GraphKindRecallOnWindows) {
   EXPECT_GE(total / count, 0.85);
 }
 
+// store_bytes counts each row's floats and timestamp and, in an angular
+// index, the 4-byte squared norm its store keeps.
 TEST(MbiIndexTest, StatsReflectStructure) {
   const size_t kN = 100, kDim = 8;
   SyntheticData data = MakeData(kN, kDim, 61);
-  MbiIndex index(kDim, Metric::kL2, SmallParams(16));
-  ASSERT_TRUE(index.AddBatch(data.vectors.data(), data.timestamps.data(), kN)
-                  .ok());
-  MbiStats stats = index.GetStats();
-  EXPECT_EQ(stats.num_vectors, kN);
-  // 100 / 16 = 6 full leaves -> B(6) = 6 + 3 + 1 = 10 blocks.
-  EXPECT_EQ(stats.num_blocks, 10u);
-  EXPECT_EQ(stats.num_levels, 3u);  // heights 0, 1, 2 materialized
-  EXPECT_GT(stats.index_bytes, 0u);
-  EXPECT_EQ(stats.store_bytes,
-            kN * kDim * sizeof(float) + kN * sizeof(Timestamp));
-  EXPECT_GE(stats.cumulative_build_seconds, 0.0);
+  for (const Metric metric :
+       {Metric::kL2, Metric::kAngular, Metric::kInnerProduct}) {
+    SCOPED_TRACE(MetricName(metric));
+    MbiIndex index(kDim, metric, SmallParams(16));
+    ASSERT_TRUE(
+        index.AddBatch(data.vectors.data(), data.timestamps.data(), kN).ok());
+    MbiStats stats = index.GetStats();
+    EXPECT_EQ(stats.num_vectors, kN);
+    // 100 / 16 = 6 full leaves -> B(6) = 6 + 3 + 1 = 10 blocks.
+    EXPECT_EQ(stats.num_blocks, 10u);
+    EXPECT_EQ(stats.num_levels, 3u);  // heights 0, 1, 2 materialized
+    EXPECT_GT(stats.index_bytes, 0u);
+    const size_t norm = metric == Metric::kAngular ? sizeof(float) : 0;
+    EXPECT_EQ(stats.store_bytes,
+              kN * (kDim * sizeof(float) + sizeof(Timestamp) + norm));
+    EXPECT_GE(stats.cumulative_build_seconds, 0.0);
+  }
 }
 
 TEST(MbiIndexTest, SelectSearchBlocksMatchesShapeSelection) {

@@ -79,6 +79,67 @@ TEST(MbiIoTest, RoundTripPreservesEverything) {
   std::filesystem::remove_all(dir);
 }
 
+// An angular store keeps each row's squared norm, and Recover refills the
+// store through AppendBatch, so the norms come back with no change to the
+// checkpoint format. 8,300 rows cross the store's 8,192-row chunk
+// boundary; flat blocks keep the build cheap and score every row through
+// the stored norms, so the recovered index must answer bit for bit alike.
+TEST(MbiIoTest, RecoverRestoresStoredNormsAcrossChunks) {
+  constexpr size_t kDim = 8;
+  constexpr size_t kN = VectorStore::kDefaultChunkCapacity + 108;
+  SyntheticParams gen;
+  gen.dim = kDim;
+  gen.seed = 17;
+  const SyntheticData data = GenerateSynthetic(gen, kN);
+  MbiParams p;
+  p.leaf_size = 1024;
+  p.block_kind = BlockIndexKind::kFlat;
+  MbiIndex original(kDim, Metric::kAngular, p);
+  ASSERT_TRUE(
+      original.AddBatch(data.vectors.data(), data.timestamps.data(), kN).ok());
+  const std::string dir = FreshDir("mbi_norms");
+  ASSERT_TRUE(original.Checkpoint(dir).ok());
+  auto recovered_result = MbiIndex::Recover(dir);
+  ASSERT_TRUE(recovered_result.ok()) << recovered_result.status().ToString();
+  std::unique_ptr<MbiIndex> recovered = std::move(recovered_result).value();
+
+  const VectorStore& store = recovered->store();
+  ASSERT_EQ(store.size(), kN);
+  ASSERT_TRUE(store.has_norms());
+  for (size_t i = 0; i < kN; ++i) {
+    const VectorId id = static_cast<VectorId>(i);
+    const uint32_t norm = std::bit_cast<uint32_t>(store.GetSquaredNorm(id));
+    ASSERT_EQ(norm,
+              std::bit_cast<uint32_t>(SquaredNorm(store.GetVector(id), kDim)))
+        << "row " << i;
+    ASSERT_EQ(norm, std::bit_cast<uint32_t>(
+                        original.store().GetSquaredNorm(id)))
+        << "row " << i;
+  }
+
+  const std::vector<float> queries = GenerateQueries(gen, 4);
+  SearchParams sp;
+  sp.k = 10;
+  for (const TimeWindow& window :
+       {TimeWindow::All(), TimeWindow{8000, 8250}}) {
+    for (size_t qi = 0; qi < 4; ++qi) {
+      QueryContext ctx_a(3), ctx_b(3);
+      const SearchResult want =
+          original.Search(queries.data() + qi * kDim, window, sp, &ctx_a);
+      const SearchResult got =
+          recovered->Search(queries.data() + qi * kDim, window, sp, &ctx_b);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t r = 0; r < got.size(); ++r) {
+        EXPECT_EQ(got[r].id, want[r].id) << "query " << qi << " rank " << r;
+        EXPECT_EQ(std::bit_cast<uint32_t>(got[r].distance),
+                  std::bit_cast<uint32_t>(want[r].distance))
+            << "query " << qi << " rank " << r;
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // Recover rebuilds the blocks a checkpoint had not yet covered with the
 // GraphBuildParams stored in its manifest, not with today's defaults. This
 // index uses exact_threshold = 1024, the default before 4,096, so its

@@ -353,6 +353,61 @@ TEST(HugeKTest, EveryPathAnswersWithAtMostTheWindow) {
   }
 }
 
+// M_C = SIZE_MAX means an unbounded candidate pool, as 2^40 does in any
+// block that fits in memory. Budgeted queries scale M_C by the budget's
+// remaining fraction and adaptive ones by each block's share of the
+// window; both products reach 2^64 at SIZE_MAX, where a plain cast to
+// size_t is undefined (on x86-64 it gave 0, a pool of k or 2k). Each
+// answer must equal, id and distance bit for bit, the answer at 2^40.
+TEST(HugeMaxCandidatesTest, BudgetedAndAdaptiveAnswerAsAtTwoToThe40) {
+  constexpr size_t kN = 1000;
+  constexpr size_t kDim = 8;
+  SyntheticParams gen;
+  gen.dim = kDim;
+  gen.seed = 2041;
+  const SyntheticData data = GenerateSynthetic(gen, kN);
+  const std::vector<float> queries = GenerateQueries(gen, 6);
+  // [520, 760) lies in one 256-row block, whose share of the window is 1.
+  const TimeWindow windows[] = {
+      {0, 1000}, {130, 620}, {520, 760}, {700, 760}};
+  for (const bool adaptive : {false, true}) {
+    MbiParams p;
+    p.leaf_size = 64;
+    p.build.degree = 8;
+    p.adaptive_block_search = adaptive;
+    MbiIndex index(kDim, Metric::kL2, p);
+    ASSERT_TRUE(
+        index.AddBatch(data.vectors.data(), data.timestamps.data(), kN).ok());
+    // A work cap no query reaches: the budget is active, so M_C is scaled
+    // by its remaining fraction, but it never runs dry.
+    QueryBudget budget;
+    budget.max_distance_evals = uint64_t{1} << 40;
+    for (const bool budgeted : {false, true}) {
+      if (!adaptive && !budgeted) continue;  // nothing scales M_C
+      for (const TimeWindow& window : windows) {
+        for (size_t qi = 0; qi < 6; ++qi) {
+          SearchResult answers[2];
+          const size_t pools[2] = {size_t{1} << 40, SIZE_MAX};
+          for (size_t i = 0; i < 2; ++i) {
+            SearchParams search;
+            search.k = 10;
+            search.max_candidates = pools[i];
+            search.budget = budgeted ? &budget : nullptr;
+            QueryContext ctx(7);
+            answers[i] =
+                index.Search(queries.data() + qi * kDim, window, search, &ctx);
+            EXPECT_EQ(answers[i].completion, Completion::kComplete);
+          }
+          EXPECT_EQ(DiffAnswers(answers[1], answers[0]), "")
+              << "adaptive " << adaptive << " budgeted " << budgeted
+              << " window [" << window.start << ", " << window.end
+              << ") query " << qi;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(DuplicateTimestampFixture, GraphKindRespectsDuplicateWindows) {
   MbiParams p;
   p.leaf_size = 30;

@@ -15,6 +15,7 @@
 #include "data/synthetic.h"
 #include "eval/recall.h"
 #include "graph/exact_builder.h"
+#include "graph/nndescent.h"
 #include "graph/search.h"
 #include "util/rng.h"
 
@@ -287,6 +288,81 @@ TEST(GraphSearcherTest, ScoresEachVertexOnceWithUnchangedResults) {
     }
   }
   EXPECT_EQ(digest, 0x142e0f75839a379eULL) << std::hex << digest;
+}
+
+// Pins Algorithm 2's work as well as its answers: ids, distance bits and
+// the four SearchStats counters of every search fold into one digest. The
+// grid covers each metric, exact and NNDescent graphs, unfiltered, short
+// and long filters, M_C 8, 48 and 192, and rows with and without ties
+// (rows rounded to a coarse integer grid, some of them zero, tie often).
+// A change to the candidate pool or the kernels that keeps the answers but
+// changes how many vertices are scored, expanded or refused moves it.
+TEST(GraphSearcherTest, AnswersAndCountersArePinned) {
+  const size_t n = 600, dim = 16;
+  SyntheticParams gen;
+  gen.dim = dim;
+  gen.num_clusters = 10;
+  gen.seed = 31;
+  const SyntheticData data = GenerateSynthetic(gen, n);
+  const std::vector<float> queries = GenerateQueries(gen, 8);
+  std::vector<float> tied = data.vectors;
+  for (float& x : tied) x = std::round(x);
+  std::vector<float> tied_queries = queries;
+  for (float& x : tied_queries) x = std::round(x);
+
+  const IdRange filters[] = {{220, 250}, {60, 540}};
+  uint64_t digest = 0xCBF29CE484222325ULL;
+  auto fold = [&digest](uint64_t x) {
+    digest ^= x;
+    digest *= 0x100000001B3ULL;
+  };
+  for (const Metric metric :
+       {Metric::kL2, Metric::kAngular, Metric::kInnerProduct}) {
+    for (const bool ties : {false, true}) {
+      const std::vector<float>& rows = ties ? tied : data.vectors;
+      const std::vector<float>& qs = ties ? tied_queries : queries;
+      VectorStore store(dim, metric);
+      ASSERT_TRUE(
+          store.AppendBatch(rows.data(), data.timestamps.data(), n).ok());
+      for (const size_t exact_threshold : {n, size_t{64}}) {
+        GraphBuildParams build;
+        build.degree = 12;
+        build.exact_threshold = exact_threshold;
+        const KnnGraph graph =
+            BuildKnnGraph(rows.data(), n, store.distance(), build);
+        GraphSearcher searcher;
+        for (const size_t max_candidates : {8, 48, 192}) {
+          SearchParams p;
+          p.k = 10;
+          p.max_candidates = max_candidates;
+          p.epsilon = 1.1f;
+          p.num_entry_points = 2;
+          for (const IdRange* filter :
+               {static_cast<const IdRange*>(nullptr), &filters[0],
+                &filters[1]}) {
+            for (size_t qi = 0; qi < 8; ++qi) {
+              TopKHeap heap(p.k);
+              Rng rng(qi + 1);
+              SearchStats stats;
+              searcher.Search(store, graph,
+                              IdRange{0, static_cast<VectorId>(n)},
+                              qs.data() + qi * dim, p, filter, &rng, &heap,
+                              &stats);
+              for (const Neighbor& nb : heap.ExtractSorted()) {
+                fold(static_cast<uint64_t>(nb.id));
+                fold(std::bit_cast<uint32_t>(nb.distance));
+              }
+              fold(stats.nodes_expanded);
+              fold(stats.distance_evaluations);
+              fold(stats.pool_rejects);
+              fold(stats.filter_hits);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0x3d4a5a4e677d9317ULL) << std::hex << digest;
 }
 
 TEST(GraphSearcherTest, EmptyRangeIsNoop) {

@@ -1,5 +1,8 @@
 // VectorStore: append ordering, timestamp binary search, range windows.
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
@@ -132,11 +135,121 @@ TEST(VectorStoreTest, RangeWindowRoundTripsThroughFindRange) {
   }
 }
 
-TEST(VectorStoreTest, MemoryBytesCountsDataAndTimestamps) {
-  VectorStore store(4, Metric::kL2);
-  std::vector<float> v = {1, 2, 3, 4};
-  ASSERT_TRUE(store.Append(v.data(), 0).ok());
-  EXPECT_EQ(store.MemoryBytes(), 4 * sizeof(float) + sizeof(Timestamp));
+// Every row costs its floats and timestamp; only an angular store also
+// keeps a squared norm per row, and MemoryBytes counts it.
+TEST(VectorStoreTest, MemoryBytesCountsDataTimestampsAndNorms) {
+  const std::vector<float> v = {1, 2, 3, 4};
+  for (const Metric metric :
+       {Metric::kL2, Metric::kAngular, Metric::kInnerProduct}) {
+    VectorStore store(4, metric);
+    ASSERT_TRUE(store.Append(v.data(), 0).ok());
+    ASSERT_TRUE(store.Append(v.data(), 1).ok());
+    const bool norms = metric == Metric::kAngular;
+    EXPECT_EQ(store.has_norms(), norms) << MetricName(metric);
+    const size_t row = 4 * sizeof(float) + sizeof(Timestamp) +
+                       (norms ? sizeof(float) : 0);
+    EXPECT_EQ(store.BytesPerRow(), row) << MetricName(metric);
+    EXPECT_EQ(store.MemoryBytes(), 2 * row) << MetricName(metric);
+    EXPECT_EQ(store.Run(0, 2).norms != nullptr, norms) << MetricName(metric);
+  }
+}
+
+// An angular store writes each row's squared norm at append: bit for bit
+// SquaredNorm of the row, through Append and AppendBatch, in every chunk
+// (8-row chunks here, so most runs below cross a boundary), and in the
+// norms a ContiguousRun carries. A zero row's norm is +0.
+TEST(VectorStoreTest, StoredNormsEqualSquaredNormAcrossChunks) {
+  constexpr size_t kDim = 19;
+  constexpr size_t kRows = 61;
+  VectorStore store(kDim, Metric::kAngular, /*chunk_capacity=*/8);
+  std::vector<float> rows(kRows * kDim);
+  std::vector<Timestamp> ts(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    for (size_t d = 0; d < kDim; ++d) {
+      rows[i * kDim + d] =
+          i % 7 == 3 ? 0.0f : std::sin(static_cast<float>(i * kDim + d));
+    }
+    ts[i] = static_cast<Timestamp>(i);
+  }
+  ASSERT_TRUE(store.Append(rows.data(), 0).ok());
+  ASSERT_TRUE(store.AppendBatch(rows.data() + kDim, ts.data() + 1, kRows - 1)
+                  .ok());
+  for (size_t i = 0; i < kRows; ++i) {
+    const VectorId id = static_cast<VectorId>(i);
+    EXPECT_EQ(std::bit_cast<uint32_t>(store.GetSquaredNorm(id)),
+              std::bit_cast<uint32_t>(SquaredNorm(store.GetVector(id), kDim)))
+        << "row " << i;
+  }
+  EXPECT_EQ(std::bit_cast<uint32_t>(store.GetSquaredNorm(3)), 0u);
+  for (VectorId id = 5; id < static_cast<VectorId>(kRows);) {
+    const VectorStore::ContiguousRun run =
+        store.Run(id, static_cast<VectorId>(kRows));
+    for (size_t i = 0; i < run.count; ++i) {
+      EXPECT_EQ(std::bit_cast<uint32_t>(run.norms[i]),
+                std::bit_cast<uint32_t>(
+                    store.GetSquaredNorm(id + static_cast<VectorId>(i))));
+    }
+    id += static_cast<VectorId>(run.count);
+  }
+}
+
+// RowScorer scores bit for bit as the store's DistanceFunction does, for
+// every metric, one row at a time and in batches from each of the first
+// eight rows: to the end of an 8-row chunk, or kMaxBatch rows of a
+// 128-row chunk. A zero query and zero rows score 1 under angular.
+TEST(RowScorerTest, ScoresAsTheStoreDistanceDoes) {
+  constexpr size_t kRows = 90;
+  for (const size_t dim : {1, 16, 33, 100}) {
+    std::vector<float> rows(kRows * dim);
+    std::vector<Timestamp> ts(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+      for (size_t d = 0; d < dim; ++d) {
+        rows[i * dim + d] =
+            i % 11 == 4 ? 0.0f : std::cos(static_cast<float>(3 * i + d));
+      }
+      ts[i] = static_cast<Timestamp>(i);
+    }
+    std::vector<float> query(dim), zero(dim, 0.0f);
+    for (size_t d = 0; d < dim; ++d) query[d] = std::sin(float(d) + 0.5f);
+    for (const Metric metric :
+         {Metric::kL2, Metric::kAngular, Metric::kInnerProduct}) {
+      SCOPED_TRACE(std::string(MetricName(metric)) + " dim " +
+                   std::to_string(dim));
+      for (const size_t chunk : {8, 128}) {
+        VectorStore store(dim, metric, chunk);
+        ASSERT_TRUE(store.AppendBatch(rows.data(), ts.data(), kRows).ok());
+        const DistanceFunction& dist = store.distance();
+        for (const std::vector<float>* q : {&query, &zero}) {
+          const RowScorer score(store, q->data());
+          for (size_t i = 0; i < kRows; ++i) {
+            const VectorId id = static_cast<VectorId>(i);
+            EXPECT_EQ(std::bit_cast<uint32_t>(score(id)),
+                      std::bit_cast<uint32_t>(
+                          dist(q->data(), store.GetVector(id))))
+                << "row " << i;
+          }
+          for (VectorId begin = 0; begin < 8; ++begin) {
+            const size_t count = std::min(
+                RowScorer::kMaxBatch,
+                store.Run(begin, static_cast<VectorId>(kRows)).count);
+            std::vector<float> out(count + 1, -7.0f);
+            score.Many(begin, count, out.data());
+            for (size_t i = 0; i < count; ++i) {
+              EXPECT_EQ(std::bit_cast<uint32_t>(out[i]),
+                        std::bit_cast<uint32_t>(
+                            score(begin + static_cast<VectorId>(i))))
+                  << "chunk " << chunk << " begin " << begin << " row " << i;
+            }
+            EXPECT_EQ(out[count], -7.0f) << "wrote past count " << count;
+          }
+        }
+        if (metric == Metric::kAngular) {
+          EXPECT_EQ(RowScorer(store, zero.data())(0), 1.0f);
+          EXPECT_EQ(RowScorer(store, query.data())(4), 1.0f);
+        }
+      }
+    }
+  }
 }
 
 TEST(VectorStoreTest, UnfilledChunkCapacityStaysUnresident) {

@@ -24,10 +24,11 @@ Check catalog (rule names double as waiver keys):
 
   budget-charge — src/ (minus util/, eval/, data/) and bench/:
     a loop body that calls a distance kernel (core/distance.h entry points,
-    DistanceFunction::operator() or ::Many) must, on some path through the
-    loop, charge a BudgetTracker — directly (ChargeDistance/ChargeHop/
-    CheckNow) or by passing a BudgetTracker*/& into a callee. New search paths cannot
-    silently escape the PR-4 deadline machinery.
+    DistanceFunction or RowScorer ::operator() or ::Many) must, on some
+    path through the loop, charge a BudgetTracker — directly
+    (ChargeDistance/ChargeHop/CheckNow) or by passing a BudgetTracker*/&
+    into a callee. New search paths cannot silently escape the query
+    budget's deadline machinery.
 
   status-flow — everywhere:
     unchecked-result  Result<T>::value() with no earlier .ok()/.status() call
@@ -143,8 +144,13 @@ DISTANCE_KERNELS = frozenset({
     "mbi::L2SquaredDistance", "mbi::AngularDistance",
     "mbi::NegativeInnerProduct", "mbi::L2SquaredDistanceMany",
     "mbi::AngularDistanceMany", "mbi::NegativeInnerProductMany",
+    "mbi::SquaredNorm", "mbi::AngularDistanceFromNorms",
+    "mbi::AngularDistanceFromNormsMany",
 })
-# DistanceFunction members that score: the pair form and the batch form.
+# Classes that score rows (DistanceFunction, and the RowScorer that
+# Algorithm 2 and ExactScan call) and their scoring members: the pair form
+# and the batch form.
+SCORING_CLASSES = ("DistanceFunction", "RowScorer")
 DISTANCE_MEMBERS = frozenset({"operator()", "Many"})
 CHARGE_METHODS = frozenset({"ChargeDistance", "ChargeHop", "CheckNow"})
 MUTATING_METHODS = frozenset({
@@ -266,6 +272,11 @@ def _callee_ref(call_node):
         if n.get("kind") == "DeclRefExpr" and "referencedDecl" in n:
             return n["referencedDecl"]
     return None
+
+
+def _scores(qname):
+    """True iff `qname` names a member of a row-scoring class."""
+    return any(c in qname for c in SCORING_CLASSES)
 
 
 def _first_var_ref(node):
@@ -672,8 +683,8 @@ class TuAnalysis:
                              "%s() is unseeded entropy; use a DeriveSeed-fed "
                              "mbi::Rng (util/rng.h)" % qname)
         if self._funcs:
-            if qname in DISTANCE_KERNELS or qname.endswith("::operator()") and \
-                    "DistanceFunction" in qname:
+            if qname in DISTANCE_KERNELS or \
+                    qname.endswith("::operator()") and _scores(qname):
                 self._mark_loops("has_dist")
             if self._charge_via_args(node):
                 self._mark_loops("has_charge")
@@ -719,7 +730,7 @@ class TuAnalysis:
             if name in CHARGE_METHODS and (
                     "BudgetTracker" in qname or "BudgetTracker" in var_type):
                 self._mark_loops("has_charge")
-            if name in DISTANCE_MEMBERS and "DistanceFunction" in qname:
+            if name in DISTANCE_MEMBERS and _scores(qname):
                 self._mark_loops("has_dist")
             if self._charge_via_args(node):
                 self._mark_loops("has_charge")
@@ -743,8 +754,7 @@ class TuAnalysis:
     def _on_operator_call(self, node, rel, line):
         ref = _callee_ref(node)
         qname = self._qname(ref) if ref else ""
-        if self._funcs and qname.endswith("operator()") and \
-                "DistanceFunction" in qname:
+        if self._funcs and qname.endswith("operator()") and _scores(qname):
             self._mark_loops("has_dist")
         if self._funcs and self._charge_via_args(node):
             self._mark_loops("has_charge")

@@ -403,6 +403,73 @@ def unit_walker_batch_kernel():
           "(got %s)" % got)
 
 
+def unit_walker_norm_kernels():
+    """The stored-norm kernels and RowScorer's pair and batch forms score
+    rows: an uncharged loop around any of them is a budget-charge finding,
+    so Algorithm 2's and ExactScan's loops stay kernel loops."""
+    V = _vpath()
+
+    def kernel_call(line, decl_id, name):
+        return {"kind": "CallExpr", "range": {"begin": {"line": line},
+                                              "end": {}},
+                "inner": [{"kind": "ImplicitCastExpr", "inner": [
+                    {"kind": "DeclRefExpr", "referencedDecl": {
+                        "id": decl_id, "kind": "FunctionDecl",
+                        "name": name}}]}]}
+
+    scorer = {"id": "0x712", "kind": "VarDecl", "name": "score",
+              "type": {"qualType": "const mbi::RowScorer"}}
+    pair_call = {
+        "kind": "CXXOperatorCallExpr",
+        "range": {"begin": {"line": 82}, "end": {}},
+        "inner": [{"kind": "ImplicitCastExpr", "inner": [
+            {"kind": "DeclRefExpr", "referencedDecl": {
+                "id": "0x710", "kind": "CXXMethodDecl",
+                "name": "operator()"}}]},
+            {"kind": "DeclRefExpr", "referencedDecl": scorer}]}
+    many_call = {
+        "kind": "CXXMemberCallExpr",
+        "range": {"begin": {"line": 84}, "end": {}},
+        "inner": [{"kind": "MemberExpr", "name": "Many",
+                   "referencedMemberDecl": "0x711",
+                   "inner": [{"kind": "DeclRefExpr",
+                              "referencedDecl": scorer}]}]}
+    calls = [kernel_call(72, "0x701", "SquaredNorm"),
+             kernel_call(74, "0x702", "AngularDistanceFromNorms"),
+             kernel_call(76, "0x703", "AngularDistanceFromNormsMany"),
+             pair_call, many_call]
+    loops = [{"kind": "ForStmt",
+              "range": {"begin": {"line": call["range"]["begin"]["line"] - 1},
+                        "end": {"line": call["range"]["begin"]["line"] + 1}},
+              "inner": [{"kind": "CompoundStmt", "inner": [call]}]}
+             for call in calls]
+    tu = {"kind": "TranslationUnitDecl", "inner": [
+        {"kind": "NamespaceDecl", "name": "mbi", "inner": [
+            {"kind": "FunctionDecl", "id": "0x701", "name": "SquaredNorm"},
+            {"kind": "FunctionDecl", "id": "0x702",
+             "name": "AngularDistanceFromNorms"},
+            {"kind": "FunctionDecl", "id": "0x703",
+             "name": "AngularDistanceFromNormsMany"},
+            {"kind": "CXXRecordDecl", "name": "RowScorer",
+             "completeDefinition": True, "id": "0x700", "inner": [
+                 {"kind": "CXXMethodDecl", "id": "0x710",
+                  "name": "operator()"},
+                 {"kind": "CXXMethodDecl", "id": "0x711", "name": "Many"}]}]},
+        {"kind": "FunctionDecl", "id": "0x720", "name": "N",
+         "loc": {"file": V, "line": 70}, "inner": [
+             {"kind": "CompoundStmt", "inner": loops}]},
+    ]}
+    ta = mba.TuAnalysis(mba.REPO)
+    ta.walk(tu)
+    got = sorted((f.line, f.rule) for f in ta.findings)
+    want = [(71, "budget-charge"), (73, "budget-charge"),
+            (75, "budget-charge"), (81, "budget-charge"),
+            (83, "budget-charge")]
+    check(got == want,
+          "uncharged loops around the norm kernels and RowScorer's pair "
+          "and batch forms are reported (got %s)" % got)
+
+
 def run_unit():
     unit_scoping()
     unit_type_parsing()
@@ -413,6 +480,7 @@ def run_unit():
     unit_walker_charged()
     unit_walker_amortized()
     unit_walker_batch_kernel()
+    unit_walker_norm_kernels()
 
 
 # ---------------------------------------------------------------------------
